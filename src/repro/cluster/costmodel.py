@@ -76,6 +76,9 @@ class ShardedStepCostModel(StepCostModel):
         # millionth step.
         allreduce_time(interconnect, 1, tp, algorithm=algorithm)
         self._comm_cache: dict[int, float] = {}
+        #: A one-GPU group has no collectives: its steps cost exactly
+        #: their compute, so pricing skips the communication lookup.
+        self._solo = self.n_gpus == 1
 
     @property
     def n_gpus(self) -> int:
@@ -119,9 +122,10 @@ class ShardedStepCostModel(StepCostModel):
         decode_kv: "list[int] | None" = None,
     ) -> "tuple[float, float]":
         """One engine step's ``(total, comm)`` latency in seconds."""
-        compute = super().step_time(prefill=prefill, decode_kv=decode_kv)
-        if compute == 0.0:
-            return 0.0, 0.0
+        compute = StepCostModel.step_time(self, prefill=prefill,
+                                          decode_kv=decode_kv)
+        if self._solo or compute == 0.0:
+            return compute, 0.0
         total_tokens = (sum(m for m, _ in (prefill or []))
                         + len(decode_kv or []))
         comm = self.comm_time(total_tokens)
@@ -136,8 +140,8 @@ class ShardedStepCostModel(StepCostModel):
         does, so the floats match it bit for bit.
         """
         compute = self.decode_step_time(decode_kv)
-        if compute == 0.0:
-            return 0.0, 0.0
+        if self._solo or compute == 0.0:
+            return compute, 0.0
         comm = self.comm_time(len(decode_kv))
         return compute + comm, comm
 

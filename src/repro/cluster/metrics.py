@@ -118,46 +118,16 @@ class ClusterPlanReport:
             )
         exact = all(retained)
 
-        reports = []
-        for o in outcomes:
-            if exact:
-                single = PlanReport.from_run(
-                    plan=plan,
-                    requests=o.requests,
-                    memory=o.memory,
-                    hbm_bytes=o.hbm_bytes,
-                    makespan=o.clock,
-                    busy_time=o.busy,
-                    steps=o.steps,
-                    prefill_tokens=o.prefill_tokens,
-                    preemption_events=o.preemption_events,
-                )
-            else:
-                single = PlanReport.from_aggregates(
-                    plan=plan,
-                    num_requests=o.finished + o.rejected,
-                    finished=o.finished,
-                    rejected=o.rejected,
-                    preemption_events=o.preemption_events,
-                    preempted_requests=o.preempted_requests,
-                    generated_tokens=o.generated_tokens,
-                    ttft=o.ttft,
-                    tpot=o.tpot,
-                    e2e=o.e2e,
-                    memory=o.memory,
-                    hbm_bytes=o.hbm_bytes,
-                    makespan=o.clock,
-                    busy_time=o.busy,
-                    steps=o.steps,
-                    prefill_tokens=o.prefill_tokens,
-                )
-            reports.append(ReplicaReport(
+        reports = [
+            ReplicaReport(
                 replica_id=o.replica_id,
                 n_gpus=o.n_gpus,
-                report=single,
+                report=o.report(plan),
                 comm_time_s=o.comm_time,
                 weight_bytes_per_gpu=o.weight_bytes_per_gpu,
-            ))
+            )
+            for o in outcomes
+        ]
 
         makespan = max((o.clock for o in outcomes), default=0.0)
         span = makespan if makespan > 0 else 1.0

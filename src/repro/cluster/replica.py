@@ -31,7 +31,7 @@ from repro.models.footprint import weight_bytes
 from repro.obs.tracer import NULL_TRACER
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager, MemoryStats
-from repro.serving.metrics import LatencyAccumulator
+from repro.serving.metrics import LatencyAccumulator, PlanReport
 from repro.serving.requests import Request
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
@@ -67,6 +67,43 @@ class ReplicaOutcome:
     tpot: LatencyAccumulator
     e2e: LatencyAccumulator
     requests: "list[Request] | None"
+
+    def report(self, plan: str, *,
+               trace_summary: "dict | None" = None) -> PlanReport:
+        """This replica's single-node serving report: exact over the
+        retained requests, or streamed from the accumulators."""
+        if self.requests is not None:
+            return PlanReport.from_run(
+                plan=plan,
+                requests=self.requests,
+                memory=self.memory,
+                hbm_bytes=self.hbm_bytes,
+                makespan=self.clock,
+                busy_time=self.busy,
+                steps=self.steps,
+                prefill_tokens=self.prefill_tokens,
+                preemption_events=self.preemption_events,
+                trace_summary=trace_summary,
+            )
+        return PlanReport.from_aggregates(
+            plan=plan,
+            num_requests=self.finished + self.rejected,
+            finished=self.finished,
+            rejected=self.rejected,
+            preemption_events=self.preemption_events,
+            preempted_requests=self.preempted_requests,
+            generated_tokens=self.generated_tokens,
+            ttft=self.ttft,
+            tpot=self.tpot,
+            e2e=self.e2e,
+            memory=self.memory,
+            hbm_bytes=self.hbm_bytes,
+            makespan=self.clock,
+            busy_time=self.busy,
+            steps=self.steps,
+            prefill_tokens=self.prefill_tokens,
+            trace_summary=trace_summary,
+        )
 
 
 class Replica:
@@ -168,25 +205,10 @@ class Replica:
         """Global time this replica is next free."""
         return self.engine.clock
 
-    @clock.setter
-    def clock(self, value: float) -> None:
-        self.engine.clock = value
-
-    @property
-    def busy(self) -> float:
-        return self.engine.busy
-
-    @property
-    def comm_time(self) -> float:
-        return self.engine.comm_time
-
     @property
     def steps(self) -> int:
+        """Engine steps taken so far."""
         return self.engine.steps
-
-    @property
-    def prefill_tokens(self) -> int:
-        return self.engine.prefill_tokens
 
     @property
     def has_work(self) -> bool:
@@ -225,35 +247,49 @@ class Replica:
     def advance(self, limit_time: "float | None" = None) -> int:
         """Advance this replica's engine; returns steps taken (0 =
         nothing runnable).  No step starts at or after ``limit_time``
-        — the router passes the next arrival so replica state is final
-        when the policy reads it."""
+        — the drive loop passes the next event so replica state is
+        final when a policy or controller reads it."""
         return self.engine.advance(limit_time=limit_time)
 
-    def step(self) -> bool:
-        """Advance at least one engine step; False when idle.
-
-        Kept as the coarse-grained compatibility entry point; the
-        router's loop calls :meth:`advance` with an arrival horizon.
-        """
-        return self.engine.advance() > 0
-
     def _trace_step(self, step, *, ts, dur, comm) -> None:
-        pid, tid = self.tracer.track(self.trace_process, "steps")
-        self.tracer.complete(
-            "replica step", "engine-step", ts=ts, dur=dur,
-            pid=pid, tid=tid,
-            args={"decode": len(step.decode),
-                  "prefill_tokens": sum(
-                      c for _, c, _ in step.prefill),
-                  "compute_s": dur - comm,
-                  "comm_s": comm,
-                  "running": len(self.scheduler.running)},
+        """Record one engine iteration: a step span plus occupancy
+        counters on this replica's lane."""
+        tracer = self.tracer
+        lane = self.trace_process
+        running = len(self.scheduler.running)
+        waiting = len(self.scheduler.waiting)
+        pid, tid = tracer.track(lane, "steps")
+        decode = len(step.decode)
+        chunk_tokens = sum(chunk for _, chunk, _ in step.prefill)
+        args = {"decode": decode,
+                "prefill_chunks": len(step.prefill),
+                "prefill_tokens": chunk_tokens,
+                "compute_s": dur - comm,
+                "comm_s": comm,
+                "running": running,
+                "waiting": waiting}
+        if self.engine.spec_decode is not None:
+            # Called before complete_step, so kv_tokens is still the
+            # pre-round length — the delta is this round's emission.
+            emitted = sum(kv - r.kv_tokens for r, kv in step.decode)
+            args["spec_emitted"] = emitted
+            args["spec_verify_rows"] = sum(
+                1 for r, kv in step.decode if kv - r.kv_tokens > 1)
+            tracer.metrics.counter(f"{lane}.spec_emitted").add(emitted)
+        tracer.complete("replica step", "engine-step", ts=ts, dur=dur,
+                        pid=pid, tid=tid, args=args)
+        tracer.counter(
+            f"{lane} occupancy", ts=ts, pid=pid,
+            values={"running": running, "waiting": waiting,
+                    "kv_blocks": self.memory.used_blocks},
         )
-        self.tracer.metrics.counter(
-            f"{self.trace_process}.comm_time_s").add(comm)
-        self.tracer.metrics.gauge(
-            f"{self.trace_process}.kv_blocks").set(
-                self.memory.used_blocks)
+        metrics = tracer.metrics
+        metrics.counter(f"{lane}.steps").inc()
+        metrics.counter(f"{lane}.decode_tokens").add(decode)
+        metrics.counter(f"{lane}.prefill_tokens").add(chunk_tokens)
+        metrics.counter(f"{lane}.comm_time_s").add(comm)
+        metrics.gauge(f"{lane}.batch").set(running)
+        metrics.gauge(f"{lane}.kv_blocks").set(self.memory.used_blocks)
 
     def outcome(self) -> ReplicaOutcome:
         """Snapshot this replica's contribution to the cluster report."""

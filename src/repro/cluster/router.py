@@ -1,35 +1,40 @@
-"""Cluster-level event loop: route a request stream across replicas.
+"""The drive loop, and the cluster simulator built on it.
 
-The cluster simulator runs N independent replica engines against one
-arrival stream.  Global ordering is the only subtlety: a routing
-policy must see each replica's state *as of the request's arrival
-time*, so the loop interleaves two event kinds in time order —
+Every simulator in the stack — serve-sim, the cluster router, each
+shard of a sharded cluster run, and the control plane — replays a
+request stream through a fleet of replica engines with one loop,
+:func:`drive`.  Global ordering is the only subtlety: a routing policy
+(or a controller) must see each replica's state *as of the event's
+time*, so the loop interleaves two kinds of work in time order —
 
-- **arrival** — when the next arrival time is no later than every
-  active replica's clock, the router dispatches it (every replica's
-  visible state is final as of that instant);
-- **replica advance** — otherwise the replica with the earliest clock
-  advances, because no earlier event can change what it would do.  An
-  advance covers one classic step or one epoch-batched stretch of
-  pure-decode steps, bounded so no step *starts* at or after the next
-  arrival — exactly the steps the one-step-at-a-time loop would have
-  run before dispatching it.
+- **event** — the next arrival, or the caller's next timed event, is
+  processed once no working replica's clock is earlier than its time
+  (every replica's visible state is final as of that instant);
+- **replica advance** — otherwise the working replica with the
+  earliest clock advances, because no earlier event can change what
+  it would do.  An advance covers one classic step or one
+  epoch-batched stretch of pure-decode steps, bounded so no step
+  *starts* at or after the next event — exactly the steps the
+  one-step-at-a-time loop would have run before processing it.
 
-Ties break toward dispatching arrivals, then toward the lowest replica
-id, so a fixed (stream, policy) pair always yields a byte-identical
-report — the same determinism contract the single-node simulator
-keeps.
+Ties break toward events (timed events before arrivals), then toward
+the lowest replica id, so a fixed (stream, policy) pair always yields
+a byte-identical report.  Working replicas sit in a heap keyed on
+``(clock, replica id)``, so choosing the next advance never rescans
+the fleet.
 
-Under round-robin routing with ``jobs > 1`` the loop is bypassed
-entirely: the stream shards per replica and each shard simulates in
-its own worker process (:mod:`repro.cluster.sharded`), producing the
-same report.  Above the exact-percentile cutover the replicas stream
-their aggregates instead of retaining per-request state, so a
-million-request cluster run holds O(batch) requests per replica and
-O(1) memory per metric.
+Under round-robin routing with ``jobs > 1`` the cluster decomposes:
+the stream shards per replica and each shard runs the same loop over a
+fleet of one in its own worker process (:mod:`repro.cluster.sharded`),
+producing the same report.  Above the exact-percentile cutover the
+replicas stream their aggregates instead of retaining per-request
+state, so a million-request cluster run holds O(batch) requests per
+replica and O(1) memory per metric.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush, heapreplace
 
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
@@ -43,10 +48,81 @@ from repro.obs.tracer import current_tracer
 from repro.cluster.metrics import ClusterPlanReport, ClusterReport
 from repro.cluster.policies import RouterPolicy, make_policy
 from repro.cluster.replica import Replica
-from repro.serving.engine import DEFAULT_MAX_EPOCH
+from repro.serving.engine import DEFAULT_MAX_EPOCH, ENGINE_MODES
 from repro.serving.metrics import EXACT_PERCENTILE_CUTOVER
-from repro.serving.requests import Request, ServingWorkload
-from repro.serving.simulator import ENGINE_MODES
+from repro.serving.requests import (
+    Request,
+    ServingWorkload,
+    fresh_requests,
+    request_stream,
+)
+
+
+def drive(fleet, source, route, *, max_steps: int, timed=None) -> None:
+    """Run ``source``'s arrivals through ``fleet`` until it drains.
+
+    ``fleet`` is the list of replicas that can hold work.  ``source``
+    yields requests in arrival order; ``route(request)`` returns the
+    replica the request joins — the loop submits it there at its
+    arrival time — or ``None`` when the caller disposed of it some
+    other way (shed, parked).  ``timed``, when given, carries the
+    caller's own events: ``next_time()`` is the next one's time (or
+    ``None``), ``fire()`` processes it and may mutate ``fleet`` or
+    submit work, and ``settled`` is true once no event is still owed,
+    so the loop may stop when arrivals and replica work run out.
+
+    Every replica may take at most ``max_steps`` engine steps; a
+    replica past that budget, or one that cannot step while holding
+    work, raises :class:`~repro.common.errors.ServingError`.
+    """
+    def working_set():
+        heap = [(r.clock, r.replica_id, r) for r in fleet if r.has_work]
+        heapify(heap)
+        return heap
+
+    working = working_set()
+    pending = next(source, None)
+    while True:
+        horizon = pending.arrival_time if pending is not None else None
+        fire = False
+        if timed is not None:
+            event = timed.next_time()
+            if event is not None and (horizon is None or event <= horizon):
+                horizon, fire = event, True
+        if working and (horizon is None or horizon > working[0][0]):
+            replica = working[0][2]
+            if replica.advance(limit_time=horizon) == 0:
+                raise ServingError(
+                    f"replica {replica.replica_id} stalled with work "
+                    f"outstanding"
+                )
+            if replica.steps > max_steps:
+                raise ServingError(
+                    f"replica {replica.replica_id} exceeded {max_steps} "
+                    f"steps (clock {replica.clock:.1f}s); lower the rate "
+                    f"or duration"
+                )
+            if replica.has_work:
+                heapreplace(working,
+                            (replica.clock, replica.replica_id, replica))
+            else:
+                heappop(working)
+            continue
+        if horizon is None or (pending is None and not working
+                               and timed.settled):
+            break
+        if fire:
+            timed.fire()
+            working = working_set()
+            continue
+        replica = route(pending)
+        if replica is not None:
+            idle = not replica.has_work
+            replica.submit(pending, pending.arrival_time)
+            if idle and replica.has_work:
+                heappush(working,
+                         (replica.clock, replica.replica_id, replica))
+        pending = next(source, None)
 
 
 class ClusterSimulator:
@@ -92,10 +168,6 @@ class ClusterSimulator:
     ) -> None:
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
-        if (requests is None) == (workload is None):
-            raise ServingError(
-                "provide exactly one of `requests` or `workload`"
-            )
         if engine not in ENGINE_MODES:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
@@ -124,13 +196,7 @@ class ClusterSimulator:
                 f"policy {self.policy_name!r} reads cross-replica state at "
                 f"every arrival and cannot run sharded; use jobs=1"
             )
-        if requests is not None:
-            self._requests = sorted(
-                requests, key=lambda r: (r.arrival_time, r.request_id))
-            self._workload = None
-        else:
-            self._requests = None
-            self._workload = workload
+        self._stream = request_stream(requests, workload)
         self._replica_kwargs = dict(
             dtype=dtype, tp=tp, pp=pp, ep=ep,
             interconnect=interconnect, algorithm=algorithm,
@@ -144,23 +210,7 @@ class ClusterSimulator:
     @property
     def num_requests(self) -> int:
         """Size of the stream ``run`` will replay."""
-        if self._requests is not None:
-            return len(self._requests)
-        return len(self._workload.request_arrays())
-
-    def _iter_requests(self):
-        """Fresh request copies in arrival order, materialized lazily."""
-        if self._requests is not None:
-            for r in self._requests:
-                yield Request(
-                    request_id=r.request_id, arrival_time=r.arrival_time,
-                    prompt_len=r.prompt_len, output_len=r.output_len,
-                    prefix_group=r.prefix_group,
-                )
-        else:
-            arrays = self._workload.request_arrays()
-            for index in range(len(arrays)):
-                yield arrays.materialize(index)
+        return len(self._stream)
 
     def run(self) -> ClusterPlanReport:
         """Simulate the stream to completion and aggregate metrics."""
@@ -180,9 +230,7 @@ class ClusterSimulator:
                 num_replicas=self.num_replicas,
                 engine=self.engine, max_epoch=self.max_epoch,
                 retain=retain, max_steps=self.max_steps, jobs=self.jobs,
-                requests=self._requests,
-                arrays=(self._workload.request_arrays()
-                        if self._requests is None else None),
+                stream=self._stream,
             )
             return ClusterPlanReport.from_outcomes(
                 self.plan.value, self.policy_name, outcomes)
@@ -197,54 +245,27 @@ class ClusterSimulator:
                     retain_requests=retain, **self._replica_kwargs)
             for i in range(self.num_replicas)
         ]
-        source = self._iter_requests()
-        pending = next(source, None)
-        total_steps = 0
 
-        while True:
-            active = [r for r in replicas if r.has_work]
-            if pending is not None:
-                # Dispatch once no active replica can still change
-                # state before the arrival instant.
-                frontier = min((r.clock for r in active), default=None)
-                if frontier is None or pending.arrival_time <= frontier:
-                    index = policy.choose(pending, replicas)
-                    if not 0 <= index < len(replicas):
-                        raise ServingError(
-                            f"policy {self.policy_name!r} chose replica "
-                            f"{index} of {len(replicas)}"
-                        )
-                    if tracer.enabled:
-                        tracer.instant(
-                            "route", "routing", ts=pending.arrival_time,
-                            pid=router_lane[0], tid=router_lane[1],
-                            args={"request_id": pending.request_id,
-                                  "replica": index,
-                                  "policy": self.policy_name},
-                        )
-                        tracer.metrics.counter(
-                            f"{self.plan.value}:router.to_replica{index}"
-                        ).inc()
-                    replicas[index].submit(pending, pending.arrival_time)
-                    pending = next(source, None)
-                    continue
-            if not active:
-                break
-            replica = min(active, key=lambda r: (r.clock, r.replica_id))
-            advanced = replica.advance(
-                limit_time=(pending.arrival_time if pending is not None
-                            else None))
-            if advanced == 0:
+        def route(request: Request) -> Replica:
+            index = policy.choose(request, replicas)
+            if not 0 <= index < len(replicas):
                 raise ServingError(
-                    f"replica {replica.replica_id} stalled with work "
-                    f"outstanding"
+                    f"policy {self.policy_name!r} chose replica {index} "
+                    f"of {len(replicas)}"
                 )
-            total_steps += advanced
-            if total_steps > self.max_steps:
-                raise ServingError(
-                    f"cluster simulation exceeded {self.max_steps} steps; "
-                    f"lower the rate or duration"
+            if tracer.enabled:
+                tracer.instant(
+                    "route", "routing", ts=request.arrival_time,
+                    pid=router_lane[0], tid=router_lane[1],
+                    args={"request_id": request.request_id,
+                          "replica": index, "policy": self.policy_name},
                 )
+                tracer.metrics.counter(
+                    f"{self.plan.value}:router.to_replica{index}").inc()
+            return replicas[index]
+
+        drive(replicas, fresh_requests(self._stream), route,
+              max_steps=self.max_steps)
 
         trace_summary = None
         if tracer.enabled:
@@ -337,3 +358,78 @@ def simulate_cluster(
         trace_summary=tracer.summary() if tracer.enabled else None,
         arrival=arrival.describe() if arrival is not None else None,
     )
+
+
+def verification_oracles():
+    """Fuzz oracle: a one-replica cluster is exactly serve-sim.
+
+    serve-sim is the one-replica case of the drive loop, so for any
+    seeded request stream and engine knobs its report JSON must equal
+    the one replica's report JSON inside a ``replicas=1`` cluster run,
+    serially (``jobs=1``) and through the sharded mode (``jobs=2``).
+    ``actual`` holds 1.0 per matching run under the EXACT contract.
+    Each case simulates three small runs, so the oracle takes a
+    deterministic slice of the serving family's cases.
+    """
+    import json
+
+    import numpy as np
+
+    from repro.common.dtypes import DType as _DType
+    from repro.verify.contracts import EXACT
+    from repro.verify.registry import OracleSpec
+
+    def run_single_replica(case):
+        from repro.models.config import AttentionKind, AttentionSpec
+        from repro.serving.costmodel import SUPPORTED_PLANS
+        from repro.serving.simulator import ServingSimulator
+
+        rng = np.random.default_rng((case.params["case_seed"], 0x51E9))
+        model = ModelConfig(
+            "tiny-causal", num_layers=2, d_model=128, num_heads=4,
+            d_ff=256,
+            attention=(AttentionSpec(AttentionKind.DENSE_CAUSAL),),
+        )
+        n = int(rng.integers(1, 13))
+        # Gaps around a tiny-model step time, so requests overlap and
+        # batching, chunking, and epochs all come into play.
+        arrivals = np.cumsum(rng.exponential(
+            float(rng.uniform(1e-5, 1e-3)), size=n))
+        knobs = dict(
+            plan=PlanSource.of(str(rng.choice(
+                [p.value for p in SUPPORTED_PLANS]))),
+            requests=[
+                Request(request_id=i, arrival_time=float(arrivals[i]),
+                        prompt_len=64 * int(rng.integers(1, 9)),
+                        output_len=int(rng.integers(1, 48)))
+                for i in range(n)
+            ],
+            chunk_tokens=64 * int(rng.integers(1, 5)),
+            max_batch=int(rng.integers(1, 9)),
+            engine=str(rng.choice(ENGINE_MODES)),
+        )
+
+        def doc(report):
+            return json.dumps(report.to_dict(), sort_keys=True)
+
+        single = doc(ServingSimulator(model, "t4", **knobs).run())
+        same = [
+            doc(ClusterSimulator(model, "t4", replicas=1, jobs=jobs,
+                                 **knobs).run().per_replica[0].report)
+            == single
+            for jobs in (1, 2)
+        ]
+        return {"actual": np.asarray(same, dtype=np.float64),
+                "expected": np.ones(len(same))}
+
+    return [
+        OracleSpec(
+            name="serving.single_replica_equivalence",
+            family="serving",
+            run=run_single_replica,
+            contracts={_DType.FP32: EXACT, _DType.FP16: EXACT},
+            description=("a replicas=1 cluster run (jobs=1 and jobs=2) "
+                         "reports exactly what serve-sim reports"),
+            applies=lambda case: case.params["case_seed"] % 8 == 3,
+        ),
+    ]

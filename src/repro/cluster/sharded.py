@@ -6,7 +6,8 @@ routing, replicas never interact — each one is an independent
 single-replica serving simulation.  So instead of interleaving every
 replica's steps in one global event loop, the sharded mode partitions
 the stream by replica up front, simulates each replica's substream to
-completion in its own worker process (via
+completion — the same :func:`~repro.cluster.router.drive` loop over a
+fleet of one — in its own worker process (via
 :func:`repro.workloads.sweep.fanout`), and merges the per-replica
 outcomes in replica-id order.  The merged
 :class:`~repro.cluster.metrics.ClusterPlanReport` is byte-identical to
@@ -19,7 +20,7 @@ State-dependent policies (least-outstanding, prefix-affinity) read
 router rejects ``jobs > 1`` for them.  Tracing interleaves all lanes
 in one tracer, so traced runs stay serial too.
 
-Each worker holds O(stream/R) arrival arrays and O(batch) resident
+Each worker holds the stream's arrival arrays and O(batch) resident
 requests; with streaming aggregation (above the exact-percentile
 cutover) the parent only ever sees O(1)-sized outcome records per
 replica, which is what lets a million-request scenario run in a few
@@ -30,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.serving.engine import DEFAULT_MAX_EPOCH
-from repro.serving.requests import Request, RequestArrays
+from repro.serving.requests import Request, RequestArrays, fresh_requests
 from repro.workloads.sweep import fanout
 
 __all__ = ["ReplicaShard", "simulate_shard", "run_sharded"]
@@ -46,11 +46,10 @@ class ReplicaShard:
     """One replica's share of a round-robin-routed cluster run.
 
     Frozen and picklable — the unit of work :func:`fanout` ships to a
-    worker process.  The substream arrives either as materialized
-    request templates (``requests``) or as the full stream's columnar
-    arrays (``arrays``) that the worker strides lazily — at fleet
-    scale the arrays pickle as a few numpy buffers instead of a
-    million dataclasses.
+    worker process.  ``stream`` is the whole time-sorted stream
+    (request templates or columnar arrays) and the worker strides out
+    its own share lazily — at fleet scale the arrays pickle as a few
+    numpy buffers instead of a million dataclasses.
     """
 
     replica_id: int
@@ -63,22 +62,7 @@ class ReplicaShard:
     max_epoch: int
     retain: bool
     max_steps: int
-    requests: "tuple[Request, ...] | None" = None
-    arrays: "RequestArrays | None" = None
-
-    def stream(self):
-        """This replica's arrivals, oldest first, as fresh requests."""
-        if self.requests is not None:
-            for r in self.requests:
-                yield Request(
-                    request_id=r.request_id, arrival_time=r.arrival_time,
-                    prompt_len=r.prompt_len, output_len=r.output_len,
-                    prefix_group=r.prefix_group,
-                )
-        else:
-            for index in range(self.replica_id, len(self.arrays),
-                               self.num_replicas):
-                yield self.arrays.materialize(index)
+    stream: "tuple[Request, ...] | RequestArrays"
 
 
 def simulate_shard(shard: ReplicaShard):
@@ -90,38 +74,17 @@ def simulate_shard(shard: ReplicaShard):
     :class:`~repro.cluster.replica.ReplicaOutcome`.
     """
     from repro.cluster.replica import Replica
+    from repro.cluster.router import drive
 
     replica = Replica(
         shard.replica_id, shard.model, shard.gpu, plan=shard.plan,
         engine=shard.engine, max_epoch=shard.max_epoch,
         retain_requests=shard.retain, **shard.replica_kwargs,
     )
-    source = shard.stream()
-    pending = next(source, None)
-    while True:
-        while (pending is not None
-               and pending.arrival_time <= replica.clock):
-            replica.submit(pending, pending.arrival_time)
-            pending = next(source, None)
-        limit = pending.arrival_time if pending is not None else None
-        advanced = replica.advance(limit_time=limit)
-        if advanced == 0:
-            if pending is not None:
-                # Idle: the next submit fast-forwards the clock.
-                replica.submit(pending, pending.arrival_time)
-                pending = next(source, None)
-                continue
-            if replica.has_work:
-                raise ServingError(
-                    f"replica {shard.replica_id} stalled with work "
-                    f"outstanding"
-                )
-            break
-        if replica.steps > shard.max_steps:
-            raise ServingError(
-                f"replica {shard.replica_id} exceeded {shard.max_steps} "
-                f"steps; lower the rate or duration"
-            )
+    source = fresh_requests(shard.stream, start=shard.replica_id,
+                            stride=shard.num_replicas)
+    drive([replica], source, lambda request: replica,
+          max_steps=shard.max_steps)
     return replica.outcome()
 
 
@@ -137,21 +100,17 @@ def run_sharded(
     retain: bool = True,
     max_steps: int = 2_000_000,
     jobs: int = 1,
-    requests: "list[Request] | None" = None,
-    arrays: "RequestArrays | None" = None,
+    stream: "list[Request] | RequestArrays",
 ) -> "list":
-    """Partition the stream round-robin and simulate every replica.
+    """Partition ``stream`` round-robin and simulate every replica.
 
-    Returns the per-replica outcomes in replica-id order.  Exactly one
-    of ``requests`` (time-sorted) or ``arrays`` must be provided.
+    ``stream`` is the time-sorted request list or the stream's arrays.
+    Returns the per-replica outcomes in replica-id order.
     """
-    if (requests is None) == (arrays is None):
-        raise ServingError("provide exactly one of `requests` or `arrays`")
-    shards = []
-    for replica_id in range(num_replicas):
-        sub = (tuple(requests[replica_id::num_replicas])
-               if requests is not None else None)
-        shards.append(ReplicaShard(
+    if not isinstance(stream, RequestArrays):
+        stream = tuple(stream)
+    shards = [
+        ReplicaShard(
             replica_id=replica_id,
             num_replicas=num_replicas,
             model=model,
@@ -162,7 +121,8 @@ def run_sharded(
             max_epoch=max_epoch,
             retain=retain,
             max_steps=max_steps,
-            requests=sub,
-            arrays=arrays if requests is None else None,
-        ))
+            stream=stream,
+        )
+        for replica_id in range(num_replicas)
+    ]
     return fanout(simulate_shard, shards, jobs=jobs)

@@ -414,16 +414,23 @@ class ScenarioSpec:
             rate=spec.workload.rate, duration=spec.workload.duration,
             seed=spec.workload.seed, plans=spec.plans,
             arrival=spec.make_arrival(),
+            requests=spec.load_requests(),
             tiers=tiers if tiers is not None else DEFAULT_TIERS,
             replicas=spec.sharding.replicas, autoscaler=autoscaler,
             faults=faults, policy=spec.sharding.policy,
             shed_backlog_tokens=shed_backlog_tokens,
             cold_start_s=cold_start_s,
-            tp=spec.sharding.tp, pp=spec.sharding.pp,
+            tp=spec.sharding.tp, pp=spec.sharding.pp, ep=spec.sharding.ep,
+            algorithm=spec.sharding.algorithm,
+            interconnect=spec.interconnect_spec(),
             chunk_tokens=spec.workload.chunk_tokens,
             max_batch=spec.workload.max_batch,
             block_tokens=spec.workload.block_tokens,
             t=spec.workload.t,
+            engine=spec.workload.engine,
+            draft_model=spec.workload.draft_model,
+            draft_len=spec.workload.draft_len,
+            accept_rate=spec.workload.accept_rate,
         )
 
 

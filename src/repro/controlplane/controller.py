@@ -1,15 +1,16 @@
-"""The control-plane event loop: gateway, autoscaler, fault injector.
+"""The control plane: gateway, autoscaler, and fault injector as hooks
+on the cluster's drive loop.
 
-:class:`ControlPlaneSimulator` wraps the cluster's replica engines in
-a discrete-time control loop.  Four event kinds interleave with
-replica compute in global time order, with the same frontier rule the
-cluster router uses (an event is processed once no working replica's
-clock is earlier, otherwise the earliest replica advances, bounded so
-no step starts past the event):
+:class:`ControlPlaneSimulator` runs the cluster's replica engines
+through the same :func:`~repro.cluster.router.drive` loop as every
+other simulator, with the frontier rule it implements (an event is
+processed once no working replica's clock is earlier, otherwise the
+earliest replica advances, bounded so no step starts past the event).
+The control plane adds hooks to that loop:
 
 - **arrival** — the gateway assigns the request's SLO tier, applies
   priority load shedding, and routes it through the configured policy
-  over the currently routable replicas;
+  over the currently routable replicas (or parks it while none is);
 - **boot completion** — a cold-started replica joins the fleet and any
   requests parked while no replica was routable flush to it;
 - **fault** — a scheduled replica death (resident requests re-queue
@@ -18,15 +19,15 @@ no step starts past the event):
 - **controller tick** — the autoscaler reads its signals and may grow
   the fleet (paying the cold-start delay) or drain a replica.
 
-The feedback path is deliberately indirect: every signal the
-controller consumes — windowed first-token attainment, per-replica
-outstanding-token backlog, the shed counter — comes from the
-:mod:`repro.obs` tracer the replicas publish into, never from
-scheduler internals.  Control-plane runs therefore always execute
-under an enabled tracer (the ambient one when installed, a private one
-otherwise), which also pins the engines to the classic per-step path —
-the per-step telemetry *is* the product here, and control scenarios
-are far below the scale where the epoch fast path matters.
+The controller reads its signals from replica state, never from a
+tracer: per-replica backlog is
+:attr:`~repro.cluster.replica.Replica.outstanding_tokens`, the shed
+count is the gateway's own, and windowed first-token attainment comes
+from a log every replica's scheduler appends to the moment a request
+emits its first token.  Tracing therefore only observes a run: an
+untraced run builds no tracer and its replicas may take the epoch fast
+path, and a traced run produces the same report apart from its trace
+summary.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from repro.core.plansource import PlanSource, resolve_plan
 from repro.gpu.interconnect import NVLINK3, InterconnectSpec
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.tracer import current_tracer
 from repro.cluster.policies import RouterPolicy, make_policy
 from repro.cluster.replica import Replica
+from repro.cluster.router import drive
 from repro.controlplane.autoscaler import (
     Autoscaler,
     AutoscalerConfig,
@@ -57,8 +59,15 @@ from repro.controlplane.report import (
     TierReport,
 )
 from repro.controlplane.slo import DEFAULT_TIERS, SLOTier, assign_tiers
+from repro.serving.engine import ENGINE_MODES
 from repro.serving.metrics import LatencyStats
-from repro.serving.requests import RequestStatus, ServingWorkload
+from repro.serving.requests import (
+    Request,
+    RequestStatus,
+    ServingWorkload,
+    fresh_requests,
+    request_stream,
+)
 
 __all__ = ["ControlledReplica", "ControlPlaneSimulator",
            "simulate_controlplane"]
@@ -78,38 +87,13 @@ class ControlledReplica(Replica):
 
     Adds the lifecycle state machine, a creation clock (a booted
     replica starts at its ready time, not zero), straggler slowdown
-    injection, and — crucially — publication of its load signal into
-    the metrics registry after every submit and advance, so the
-    controller can read backlog without touching scheduler state.
+    injection, and evacuation when fault injection kills it.
     """
 
     def __init__(self, *args, created_at: float = 0.0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.state = ACTIVE
-        self.created_at = created_at
-        self.slowdown = 1.0
         self.engine.clock = created_at
-        self._load_gauge = self.tracer.metrics.gauge(
-            f"{self.trace_process}.outstanding_tokens")
-        self._publish_load()
-
-    def _publish_load(self) -> None:
-        self._load_gauge.set(self.outstanding_tokens)
-
-    def submit(self, request, now: float) -> bool:
-        if now > self.engine.clock:
-            self.engine.clock = now
-        if self.retain_requests:
-            self.requests.append(request)
-        accepted = self.engine.submit(request)
-        self._publish_load()
-        return accepted
-
-    def advance(self, limit_time: "float | None" = None) -> int:
-        advanced = super().advance(limit_time=limit_time)
-        if advanced:
-            self._publish_load()
-        return advanced
 
     def apply_slowdown(self, factor: float) -> None:
         """Inject a straggler: scale every future step cost.
@@ -117,7 +101,6 @@ class ControlledReplica(Replica):
         Stacks multiplicatively if injected twice; already-completed
         steps are untouched (the clock never rewrites history).
         """
-        self.slowdown *= factor
         self.engine.set_cost(SlowdownCost(self.engine.cost, factor))
 
     def evacuate(self) -> "list":
@@ -142,7 +125,6 @@ class ControlledReplica(Replica):
         self.scheduler.running = []
         self.scheduler.waiting.clear()
         self.state = DEAD
-        self._publish_load()
         return residents
 
 
@@ -150,10 +132,14 @@ class ControlPlaneSimulator:
     """One plan's SLO-driven serving run under dynamic fleet control.
 
     Replays a :class:`~repro.serving.requests.ServingWorkload` (any
-    arrival process) through a fleet of
+    arrival process) or a time-sorted request list through a fleet of
     :class:`ControlledReplica` engines, with tiered admission, load
     shedding, optional autoscaling, and fault injection.  Fully
-    deterministic for a fixed ``(workload, tiers, schedule, seed)``.
+    deterministic for a fixed ``(stream, tiers, schedule, seed)``;
+    ``seed`` (tier assignment and fault victims) defaults to the
+    workload's.  A request list's ids must be its stream positions
+    ``0..n-1``, as :func:`~repro.serving.requests.load_trace` assigns
+    them.
     """
 
     def __init__(
@@ -161,7 +147,9 @@ class ControlPlaneSimulator:
         model: "ModelConfig | str",
         gpu: "GPUSpec | str",
         *,
-        workload: ServingWorkload,
+        workload: "ServingWorkload | None" = None,
+        requests: "list[Request] | None" = None,
+        seed: "int | None" = None,
         plan: "PlanSource | AttentionPlan | str | None" = None,
         tiers: "tuple[SLOTier, ...]" = DEFAULT_TIERS,
         replicas: int = 2,
@@ -176,6 +164,7 @@ class ControlPlaneSimulator:
         cold_start_s: "float | None" = None,
         tp: int = 1,
         pp: int = 1,
+        ep: int = 1,
         dtype: DType = DType.FP16,
         interconnect: InterconnectSpec = NVLINK3,
         algorithm: str = "ring",
@@ -185,6 +174,10 @@ class ControlPlaneSimulator:
         reserve_fraction: float = 0.1,
         t: int = 64,
         max_steps: int = 2_000_000,
+        engine: str = "epoch",
+        draft_model: "ModelConfig | str | None" = None,
+        draft_len: int = 4,
+        accept_rate: float = 1.0,
     ) -> None:
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
@@ -195,6 +188,10 @@ class ControlPlaneSimulator:
                 f"shed_backlog_tokens must be >= 0, got "
                 f"{shed_backlog_tokens}"
             )
+        if engine not in ENGINE_MODES:
+            raise ServingError(
+                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
+            )
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         from repro.serving.costmodel import SUPPORTED_PLANS
@@ -204,7 +201,13 @@ class ControlPlaneSimulator:
             model=self.model, gpu=self.gpu, t=t,
             candidates=SUPPORTED_PLANS,
         )
-        self.workload = workload
+        self._stream = request_stream(requests, workload)
+        if requests is not None and any(
+                r.request_id != i for i, r in enumerate(self._stream)):
+            raise ServingError(
+                "control-plane request ids must be their stream "
+                "positions 0..n-1 in arrival order"
+            )
         self.tiers = tuple(tiers)
         self.num_replicas = replicas
         self.autoscaler_config = autoscaler
@@ -213,13 +216,16 @@ class ControlPlaneSimulator:
                             else policy)
         self._policy_arg = policy
         self.shed_backlog_tokens = shed_backlog_tokens
-        self.seed = workload.seed
+        self.seed = (seed if seed is not None
+                     else workload.seed if workload is not None else 0)
         self.max_steps = max_steps
         self._replica_kwargs = dict(
-            dtype=dtype, tp=tp, pp=pp, interconnect=interconnect,
+            dtype=dtype, tp=tp, pp=pp, ep=ep, interconnect=interconnect,
             algorithm=algorithm, chunk_tokens=chunk_tokens,
             max_batch=max_batch, block_tokens=block_tokens,
-            reserve_fraction=reserve_fraction, t=t,
+            reserve_fraction=reserve_fraction, t=t, engine=engine,
+            draft_model=draft_model, draft_len=draft_len,
+            accept_rate=accept_rate,
         )
         if autoscaler is not None and autoscaler.cold_start_s is not None:
             cold_start_s = autoscaler.cold_start_s
@@ -228,372 +234,316 @@ class ControlPlaneSimulator:
                 self.model, self.gpu, dtype=dtype, tp=tp, pp=pp,
                 interconnect=interconnect))
 
-    # -- run ------------------------------------------------------------
-
     def run(self) -> ControlPlanePlanReport:
         """Simulate the stream to completion under fleet control."""
-        ambient = current_tracer()
-        # The controller's signals come from obs instants and gauges,
-        # so the run always executes under an enabled tracer; a
-        # private one is used (and discarded) when the caller did not
-        # install their own.
-        tracer = ambient if ambient.enabled else Tracer("controlplane")
-        traced = ambient.enabled
-        trace_start = tracer.event_count
-        self._tracer = tracer
-        self._scan_from = tracer.event_count
-        self._lane = tracer.track(f"{self.plan.value}:controlplane")
-        self._shed_counter = tracer.metrics.counter(
-            f"{self.plan.value}:gateway.shed")
+        control = _FleetControl(self, current_tracer())
+        drive(control.fleet, fresh_requests(self._stream), control.admit,
+              max_steps=self.max_steps, timed=control)
+        return control.report()
 
-        arrays = self.workload.request_arrays()
-        tier_of = assign_tiers(len(arrays), self.tiers, self.seed)
-        self._tier_of = tier_of
-        policy = make_policy(self._policy_arg)
-        scaler = (Autoscaler(self.autoscaler_config, self.tiers)
-                  if self.autoscaler_config is not None else None)
-        victim_rng = np.random.default_rng((self.seed, _VICTIM_SALT))
 
-        # -- fleet state ------------------------------------------------
-        fleet: "list[ControlledReplica]" = [
-            self._new_replica(i, tracer, 0.0)
-            for i in range(self.num_replicas)
-        ]
-        next_id = self.num_replicas
-        #: Pending boots as sorted [ready_time, replica_id, reason].
-        boots: "list[tuple[float, int, str]]" = []
-        dead: "list[ControlledReplica]" = []
-        timeline: "list[ScalingEvent]" = []
-        fault_events = self.faults.events()
-        fault_idx = 0
-        #: Mutable per-fault records; finalized after the drain.
-        fault_log: "list[dict]" = []
-        cold_starts = 0
+class _FleetControl:
+    """One control-plane run's state and its hooks on the drive loop.
+
+    :meth:`admit` is the loop's route callable (the gateway);
+    :meth:`next_time`, :meth:`fire`, and :attr:`settled` are its
+    timed-event hook (boots, faults, controller ticks, in that order
+    on ties); :attr:`fleet` is the live ACTIVE/DRAINING replica list
+    the loop steps.
+    """
+
+    def __init__(self, sim: ControlPlaneSimulator, tracer) -> None:
+        self.sim = sim
+        self.tracer = tracer
+        self.trace_start = tracer.event_count
+        self.plan = sim.plan.value
+        self.lane = (tracer.track(f"{self.plan}:controlplane")
+                     if tracer.enabled else (0, 0))
+        self.tier_of = assign_tiers(len(sim._stream), sim.tiers, sim.seed)
+        self.policy = make_policy(sim._policy_arg)
+        config = sim.autoscaler_config
+        self.scaler = (Autoscaler(config, sim.tiers)
+                       if config is not None else None)
+        self.interval = config.control_interval if config else None
+        self.next_tick = self.interval
+        #: The failover floor: replacements boot while the routable
+        #: plus booting count is below it.
+        self.floor = config.min_replicas if config else sim.num_replicas
+        self.victim_rng = np.random.default_rng((sim.seed, _VICTIM_SALT))
+        self.fault_events = sim.faults.events()
+        self.fault_idx = 0
+        #: Requests in first-token order, appended by every scheduler.
+        self.first_tokens: "list[Request]" = []
+        self.fleet: "list[ControlledReplica]" = [
+            self.new_replica(i, 0.0) for i in range(sim.num_replicas)]
+        self.next_id = sim.num_replicas
+        #: Pending boots as sorted (ready_time, replica_id, reason).
+        self.boots: "list[tuple[float, int, str]]" = []
+        self.retired: "list[ControlledReplica]" = []
+        self.timeline: "list[ScalingEvent]" = []
+        #: Mutable per-fault records; finalized in :meth:`report`.
+        self.fault_log: "list[dict]" = []
+        self.cold_starts = 0
         #: Requests parked while no replica was routable.
-        parked: "list" = []
-        all_requests: "list" = []
-        shed_ids: "set[int]" = set()
-        shed_seen = 0.0
+        self.parked: "list[Request]" = []
+        self.arrived: "list[Request]" = []
+        self.shed_ids: "set[int]" = set()
+        self.shed_seen = 0
+        self.last_event_time = 0.0
+        self._event = None
+        # Replica-seconds integral of the ACTIVE + DRAINING count.
+        self.occupied_since = 0.0
+        self.occupied = len(self.fleet)
+        self.area = 0.0
+        self.peak = self.occupied
 
-        # -- replica-seconds integral -----------------------------------
-        occupancy = {"t": 0.0, "n": len(fleet), "area": 0.0, "peak":
-                     len(fleet)}
+    # -- fleet helpers --------------------------------------------------
 
-        def occupy(t: float, delta: int) -> None:
-            dt = max(0.0, t - occupancy["t"])
-            occupancy["area"] += occupancy["n"] * dt
-            occupancy["t"] = max(occupancy["t"], t)
-            occupancy["n"] += delta
-            occupancy["peak"] = max(occupancy["peak"], occupancy["n"])
+    def new_replica(self, replica_id: int,
+                    created_at: float) -> ControlledReplica:
+        sim = self.sim
+        replica = ControlledReplica(
+            replica_id, sim.model, sim.gpu, plan=sim.plan,
+            tracer=self.tracer, retain_requests=False,
+            created_at=created_at, **sim._replica_kwargs,
+        )
+        replica.scheduler.first_token_log = self.first_tokens
+        return replica
 
-        def routable() -> "list[ControlledReplica]":
-            return [r for r in fleet if r.state == ACTIVE]
+    def routable(self) -> "list[ControlledReplica]":
+        return [r for r in self.fleet if r.state == ACTIVE]
 
-        def serving() -> "list[ControlledReplica]":
-            return [r for r in fleet if r.state in (ACTIVE, DRAINING)]
+    def backlog_per_replica(self, lanes) -> float:
+        return sum(r.outstanding_tokens for r in lanes) / len(lanes)
 
-        def backlog_per_replica() -> float:
-            lanes = routable()
-            if not lanes:
-                return float("inf")
-            return sum(r._load_gauge.last for r in lanes) / len(lanes)
+    def occupy(self, t: float, delta: int) -> None:
+        self.area += self.occupied * max(0.0, t - self.occupied_since)
+        self.occupied_since = max(self.occupied_since, t)
+        self.occupied += delta
+        self.peak = max(self.peak, self.occupied)
 
-        def emit(name: str, ts: float, **args) -> None:
-            if tracer.enabled:
-                tracer.instant(name, "controlplane", ts=ts,
-                               pid=self._lane[0], tid=self._lane[1],
-                               args=args or None)
+    def emit(self, name: str, ts: float, **args) -> None:
+        if self.tracer.enabled:
+            self.tracer.instant(name, "controlplane", ts=ts,
+                                pid=self.lane[0], tid=self.lane[1],
+                                args=args or None)
 
-        def boot(ts: float, reason: str) -> int:
-            nonlocal next_id, cold_starts
-            rid = next_id
-            next_id += 1
-            cold_starts += 1
-            ready = ts + self.cold_start_s
-            boots.append((ready, rid, reason))
-            boots.sort()
-            emit("scale-up", ts, replica=rid, ready_at=ready,
-                 reason=reason)
-            tracer.metrics.counter(
-                f"{self.plan.value}:controlplane.scale_ups").inc()
-            timeline.append(ScalingEvent(
-                ts, "scale-up", rid, len(routable()), reason))
-            return rid
+    def count(self, name: str, n: int = 1) -> None:
+        self.tracer.metrics.counter(
+            f"{self.plan}:controlplane.{name}").inc(n)
 
-        def route(request, now: float) -> None:
-            lanes = routable()
-            if not lanes:
-                parked.append(request)
-                return
-            # Stateful policies (prefix-affinity homes, round-robin
-            # counters) can point past the routable list after the
-            # fleet shrinks; wrap rather than crash.
-            index = policy.choose(request, lanes) % len(lanes)
-            lanes[index].submit(request, now)
+    def boot(self, ts: float, reason: str) -> int:
+        rid = self.next_id
+        self.next_id += 1
+        self.cold_starts += 1
+        ready = ts + self.sim.cold_start_s
+        self.boots.append((ready, rid, reason))
+        self.boots.sort()
+        self.emit("scale-up", ts, replica=rid, ready_at=ready,
+                  reason=reason)
+        self.count("scale_ups")
+        self.timeline.append(ScalingEvent(
+            ts, "scale-up", rid, len(self.routable()), reason))
+        return rid
 
-        def dispatch(request, now: float) -> None:
-            """Gateway intake: tier shedding, then routing."""
-            tier_index = int(tier_of[request.request_id])
-            if self.shed_backlog_tokens > 0 and routable():
-                threshold = (self.shed_backlog_tokens
-                             * (len(self.tiers) - tier_index))
-                if backlog_per_replica() > threshold:
-                    shed_ids.add(request.request_id)
-                    self._shed_counter.inc()
-                    emit("shed", now, request_id=request.request_id,
-                         tier=self.tiers[tier_index].name)
-                    return
-            route(request, now)
+    def route(self, request: Request) -> "ControlledReplica | None":
+        """The routable replica ``request`` goes to; parks it (and
+        returns ``None``) while no replica is routable."""
+        lanes = self.routable()
+        if not lanes:
+            self.parked.append(request)
+            return None
+        # Stateful policies (prefix-affinity homes, round-robin
+        # counters) can point past the routable list after the fleet
+        # shrinks; wrap rather than crash.
+        return lanes[self.policy.choose(request, lanes) % len(lanes)]
 
-        # -- the floor the failover path restores -----------------------
-        floor = (self.autoscaler_config.min_replicas
-                 if self.autoscaler_config is not None
-                 else self.num_replicas)
+    def place(self, request: Request, now: float) -> None:
+        """Route a re-queued or parked request (or park it again)."""
+        lane = self.route(request)
+        if lane is not None:
+            lane.submit(request, now)
 
-        interval = (self.autoscaler_config.control_interval
-                    if self.autoscaler_config is not None else None)
-        next_tick = interval if interval is not None else None
+    # -- the gateway: the drive loop's route callable ---------------------
 
-        source = self._iter_requests(arrays, all_requests)
-        pending = next(source, None)
-        total_steps = 0
-        last_event_time = 0.0
+    def admit(self, request: Request) -> "ControlledReplica | None":
+        """Gateway intake: tier shedding, then routing (or parking)."""
+        self.arrived.append(request)
+        now = request.arrival_time
+        self.last_event_time = max(self.last_event_time, now)
+        sim = self.sim
+        lanes = self.routable()
+        if sim.shed_backlog_tokens > 0 and lanes:
+            tier_index = int(self.tier_of[request.request_id])
+            threshold = (sim.shed_backlog_tokens
+                         * (len(sim.tiers) - tier_index))
+            if self.backlog_per_replica(lanes) > threshold:
+                self.shed_ids.add(request.request_id)
+                self.tracer.metrics.counter(
+                    f"{self.plan}:gateway.shed").inc()
+                self.emit("shed", now, request_id=request.request_id,
+                          tier=sim.tiers[tier_index].name)
+                return None
+        return self.route(request)
 
-        while True:
-            working = [r for r in serving() if r.has_work]
-            if (pending is None and not parked and not working
-                    and not boots):
-                break
+    # -- timed events ---------------------------------------------------
 
-            candidates: "list[tuple[float, int, str]]" = []
-            if boots:
-                candidates.append((boots[0][0], 0, "boot"))
-            if fault_idx < len(fault_events):
-                candidates.append(
-                    (fault_events[fault_idx][0], 1, "fault"))
-            if next_tick is not None:
-                candidates.append((next_tick, 2, "tick"))
-            if pending is not None:
-                candidates.append((pending.arrival_time, 3, "arrival"))
+    @property
+    def settled(self) -> bool:
+        """No parked request or booting replica is still owed work."""
+        return not self.parked and not self.boots
 
-            if not candidates:
-                # Only resident compute remains: drain it.
-                replica = min(working,
-                              key=lambda r: (r.clock, r.replica_id))
-                total_steps += self._advance(replica, None)
-                self._check_steps(total_steps)
-                continue
+    def next_time(self) -> "float | None":
+        # (time, tie-break rank, handler): ranks are distinct, so the
+        # handlers themselves are never compared.
+        candidates = []
+        if self.boots:
+            candidates.append((self.boots[0][0], 0, self.complete_boot))
+        if self.fault_idx < len(self.fault_events):
+            candidates.append((self.fault_events[self.fault_idx][0], 1,
+                               self.inject_fault))
+        if self.next_tick is not None:
+            candidates.append((self.next_tick, 2, self.tick))
+        self._event = min(candidates) if candidates else None
+        return self._event[0] if self._event is not None else None
 
-            etime, _, kind = min(candidates)
-            frontier = min((r.clock for r in working), default=None)
-            if frontier is not None and etime > frontier:
-                replica = min(working,
-                              key=lambda r: (r.clock, r.replica_id))
-                total_steps += self._advance(replica, etime)
-                self._check_steps(total_steps)
-                continue
+    def fire(self) -> None:
+        etime, _, handle = self._event
+        self.last_event_time = max(self.last_event_time, etime)
+        handle(etime)
 
-            last_event_time = max(last_event_time, etime)
-            if kind == "arrival":
-                dispatch(pending, pending.arrival_time)
-                pending = next(source, None)
-                continue
+    def complete_boot(self, etime: float) -> None:
+        ready, rid, reason = self.boots.pop(0)
+        self.fleet.append(self.new_replica(rid, ready))
+        self.occupy(ready, +1)
+        self.emit("boot-complete", ready, replica=rid, reason=reason)
+        self.timeline.append(ScalingEvent(
+            ready, "boot-complete", rid, len(self.routable()), reason))
+        for record in self.fault_log:
+            if record.get("replacement_id") == rid:
+                record["replacement_ready"] = ready
+        flush, self.parked = self.parked, []
+        for request in flush:
+            self.place(request, ready)
 
-            if kind == "boot":
-                ready, rid, reason = boots.pop(0)
-                replica = self._new_replica(rid, tracer, ready)
-                fleet.append(replica)
-                occupy(ready, +1)
-                emit("boot-complete", ready, replica=rid, reason=reason)
-                timeline.append(ScalingEvent(
-                    ready, "boot-complete", rid, len(routable()),
-                    reason))
-                for record in fault_log:
-                    if record.get("replacement_id") == rid:
-                        record["replacement_ready"] = ready
-                if parked:
-                    flush, parked[:] = list(parked), []
-                    for request in flush:
-                        route(request, ready)
-                continue
+    def inject_fault(self, etime: float) -> None:
+        ftime, fkind, slowdown = self.fault_events[self.fault_idx]
+        self.fault_idx += 1
+        if not self.fleet:
+            self.fault_log.append({"kind": fkind, "time": ftime,
+                                   "replica_id": -1, "residents": []})
+            return
+        victim = self.fleet[int(self.victim_rng.integers(len(self.fleet)))]
+        if fkind == "straggler":
+            victim.apply_slowdown(slowdown)
+            self.emit("straggler", ftime, replica=victim.replica_id,
+                      slowdown=slowdown)
+            self.count("stragglers")
+            self.timeline.append(ScalingEvent(
+                ftime, "straggler", victim.replica_id,
+                len(self.routable()), f"slowdown={slowdown:.2f}"))
+            self.fault_log.append({"kind": fkind, "time": ftime,
+                                   "replica_id": victim.replica_id,
+                                   "slowdown": slowdown,
+                                   "residents": []})
+            return
+        residents = victim.evacuate()
+        self.fleet.remove(victim)
+        self.retired.append(victim)
+        self.occupy(ftime, -1)
+        self.emit("replica-fail", ftime, replica=victim.replica_id,
+                  requeued=len(residents))
+        self.count("failures")
+        self.count("requeued", len(residents))
+        self.timeline.append(ScalingEvent(
+            ftime, "fail", victim.replica_id, len(self.routable()),
+            f"requeued={len(residents)}"))
+        record = {"kind": fkind, "time": ftime,
+                  "replica_id": victim.replica_id, "residents": residents}
+        self.fault_log.append(record)
+        if len(self.routable()) + len(self.boots) < self.floor:
+            record["replacement_id"] = self.boot(ftime, "failover")
+        for request in residents:
+            self.place(request, ftime)
 
-            if kind == "fault":
-                ftime, fkind, slowdown = fault_events[fault_idx]
-                fault_idx += 1
-                lanes = serving()
-                if not lanes:
-                    fault_log.append({"kind": fkind, "time": ftime,
-                                      "replica_id": -1,
-                                      "residents": []})
-                    continue
-                victim = lanes[int(victim_rng.integers(len(lanes)))]
-                if fkind == "straggler":
-                    victim.apply_slowdown(slowdown)
-                    emit("straggler", ftime,
-                         replica=victim.replica_id, slowdown=slowdown)
-                    tracer.metrics.counter(
-                        f"{self.plan.value}:controlplane.stragglers"
-                    ).inc()
-                    timeline.append(ScalingEvent(
-                        ftime, "straggler", victim.replica_id,
-                        len(routable()), f"slowdown={slowdown:.2f}"))
-                    fault_log.append({"kind": fkind, "time": ftime,
-                                      "replica_id": victim.replica_id,
-                                      "slowdown": slowdown,
-                                      "residents": []})
-                    continue
-                residents = victim.evacuate()
-                fleet.remove(victim)
-                dead.append(victim)
-                occupy(ftime, -1)
-                emit("replica-fail", ftime, replica=victim.replica_id,
-                     requeued=len(residents))
-                tracer.metrics.counter(
-                    f"{self.plan.value}:controlplane.failures").inc()
-                tracer.metrics.counter(
-                    f"{self.plan.value}:controlplane.requeued").inc(
-                        len(residents))
-                timeline.append(ScalingEvent(
-                    ftime, "fail", victim.replica_id, len(routable()),
-                    f"requeued={len(residents)}"))
-                record = {"kind": fkind, "time": ftime,
-                          "replica_id": victim.replica_id,
-                          "residents": residents}
-                fault_log.append(record)
-                if len(routable()) + len(boots) < floor:
-                    record["replacement_id"] = boot(ftime, "failover")
-                for request in residents:
-                    route(request, ftime)
-                continue
-
-            # -- controller tick ----------------------------------------
-            next_tick += interval
-            self._consume_first_tokens(scaler)
-            for replica in list(fleet):
-                if replica.state == DRAINING and not replica.has_work:
-                    replica.state = RETIRED
-                    fleet.remove(replica)
-                    dead.append(replica)
-                    occupy(etime, -1)
-                    emit("retire", etime, replica=replica.replica_id)
-                    timeline.append(ScalingEvent(
-                        etime, "retire", replica.replica_id,
-                        len(routable()), "drained"))
-            shed_now = self._shed_counter.value
-            decision = scaler.decide(
-                etime,
-                active=len(routable()),
-                booting=len(boots),
-                backlog_per_replica=(
-                    0.0 if not routable() else backlog_per_replica()),
-                shed_delta=shed_now - shed_seen,
-            )
-            shed_seen = shed_now
-            if decision is None:
-                continue
-            if decision.delta > 0:
-                for _ in range(decision.delta):
-                    boot(etime, decision.reason)
-                continue
-            # Scale down: drain the emptiest routable replica (by its
-            # published gauge — the same signal the router balances).
-            lanes = routable()
-            if len(lanes) <= 1:
-                continue
-            target = min(
-                lanes,
-                key=lambda r: (r._load_gauge.last, -r.replica_id))
-            target.state = DRAINING
-            emit("scale-down", etime, replica=target.replica_id,
-                 reason=decision.reason)
-            tracer.metrics.counter(
-                f"{self.plan.value}:controlplane.scale_downs").inc()
-            timeline.append(ScalingEvent(
-                etime, "scale-down", target.replica_id,
-                len(routable()), decision.reason))
-
-        # -- drain accounting -------------------------------------------
-        clocks = [r.clock for r in fleet] + [r.clock for r in dead]
-        makespan = max([last_event_time] + clocks) if clocks else 0.0
-        occupy(makespan, 0)
-        for replica in fleet:
-            if replica.state in (ACTIVE, DRAINING):
+    def tick(self, etime: float) -> None:
+        """Controller tick: feed the window, retire drained replicas,
+        and act on the autoscaler's verdict."""
+        self.next_tick += self.interval
+        scaler = self.scaler
+        sim = self.sim
+        for request in self.first_tokens:
+            tier_index = int(self.tier_of[request.request_id])
+            scaler.observe_first_token(
+                request.first_token_time, tier_index,
+                request.ttft <= sim.tiers[tier_index].ttft_target)
+        self.first_tokens.clear()
+        for replica in list(self.fleet):
+            if replica.state == DRAINING and not replica.has_work:
                 replica.state = RETIRED
-
-        return self._build_report(
-            tracer=tracer, traced=traced, trace_start=trace_start,
-            all_requests=all_requests, shed_ids=shed_ids,
-            timeline=timeline, fault_log=fault_log,
-            occupancy=occupancy, cold_starts=cold_starts,
-            makespan=makespan, emit=emit,
+                self.fleet.remove(replica)
+                self.retired.append(replica)
+                self.occupy(etime, -1)
+                self.emit("retire", etime, replica=replica.replica_id)
+                self.timeline.append(ScalingEvent(
+                    etime, "retire", replica.replica_id,
+                    len(self.routable()), "drained"))
+        lanes = self.routable()
+        shed_now = len(self.shed_ids)
+        decision = scaler.decide(
+            etime,
+            active=len(lanes),
+            booting=len(self.boots),
+            backlog_per_replica=(
+                self.backlog_per_replica(lanes) if lanes else 0.0),
+            shed_delta=shed_now - self.shed_seen,
         )
+        self.shed_seen = shed_now
+        if decision is None:
+            return
+        if decision.delta > 0:
+            for _ in range(decision.delta):
+                self.boot(etime, decision.reason)
+            return
+        # Scale down: drain the emptiest routable replica (by the same
+        # backlog signal the router balances).
+        if len(lanes) <= 1:
+            return
+        target = min(lanes,
+                     key=lambda r: (r.outstanding_tokens, -r.replica_id))
+        target.state = DRAINING
+        self.emit("scale-down", etime, replica=target.replica_id,
+                  reason=decision.reason)
+        self.count("scale_downs")
+        self.timeline.append(ScalingEvent(
+            etime, "scale-down", target.replica_id,
+            len(self.routable()), decision.reason))
 
-    # -- helpers --------------------------------------------------------
+    # -- the report -----------------------------------------------------
 
-    def _new_replica(self, replica_id: int, tracer,
-                     created_at: float) -> ControlledReplica:
-        return ControlledReplica(
-            replica_id, self.model, self.gpu, plan=self.plan,
-            tracer=tracer, engine="epoch", retain_requests=True,
-            created_at=created_at, **self._replica_kwargs,
-        )
+    def report(self) -> ControlPlanePlanReport:
+        sim = self.sim
+        clocks = ([r.clock for r in self.fleet]
+                  + [r.clock for r in self.retired])
+        makespan = (max([self.last_event_time] + clocks)
+                    if clocks else 0.0)
+        self.occupy(makespan, 0)
+        for replica in self.fleet:
+            replica.state = RETIRED
 
-    def _iter_requests(self, arrays, sink: "list"):
-        for index in range(len(arrays)):
-            request = arrays.materialize(index)
-            sink.append(request)
-            yield request
-
-    def _advance(self, replica, limit_time) -> int:
-        advanced = replica.advance(limit_time=limit_time)
-        if advanced == 0:
-            raise ServingError(
-                f"replica {replica.replica_id} stalled with work "
-                f"outstanding"
-            )
-        return advanced
-
-    def _check_steps(self, total_steps: int) -> None:
-        if total_steps > self.max_steps:
-            raise ServingError(
-                f"control-plane simulation exceeded {self.max_steps} "
-                f"steps; lower the rate or duration"
-            )
-
-    def _consume_first_tokens(self, scaler: "Autoscaler | None") -> None:
-        """Feed new ``first-token`` instants into the scaling window.
-
-        The controller's attainment signal: it reads the tracer's
-        event stream (the published telemetry), not scheduler state.
-        """
-        events = self._tracer.events
-        if scaler is not None:
-            for event in events[self._scan_from:]:
-                if event.ph == "i" and event.name == "first-token":
-                    rid = event.args["request_id"]
-                    tier_index = int(self._tier_of[rid])
-                    tier = self.tiers[tier_index]
-                    scaler.observe_first_token(
-                        event.ts, tier_index,
-                        event.args["ttft_s"] <= tier.ttft_target)
-        self._scan_from = len(events)
-
-    def _build_report(self, *, tracer, traced, trace_start, all_requests,
-                      shed_ids, timeline, fault_log, occupancy,
-                      cold_starts, makespan, emit) -> ControlPlanePlanReport:
-        tier_of = self._tier_of
-        finished = [r for r in all_requests
+        tier_of = self.tier_of
+        shed_ids = self.shed_ids
+        arrived = self.arrived
+        finished = [r for r in arrived
                     if r.request_id not in shed_ids
                     and r.finish_time is not None]
-        rejected = sum(1 for r in all_requests
+        rejected = sum(1 for r in arrived
                        if r.request_id not in shed_ids
                        and r.status == RequestStatus.REJECTED)
-        in_flight = (len(all_requests) - len(finished) - len(shed_ids)
-                     - rejected)
+        in_flight = len(arrived) - len(finished) - len(shed_ids) - rejected
 
-        # -- finalize fault records -------------------------------------
         faults = []
-        for record in fault_log:
+        for record in self.fault_log:
             residents = record["residents"]
             done = [r for r in residents if r.finish_time is not None]
             lost = len(residents) - len(done)
@@ -607,9 +557,9 @@ class ControlPlaneSimulator:
             else:
                 recovery = 0.0
             if record["kind"] == "death" and record["replica_id"] >= 0:
-                emit("replica-recover", record["time"] + recovery,
-                     replica=record["replica_id"],
-                     recovery_s=recovery, lost=lost)
+                self.emit("replica-recover", record["time"] + recovery,
+                          replica=record["replica_id"],
+                          recovery_s=recovery, lost=lost)
             faults.append(FaultRecord(
                 kind=record["kind"], time=record["time"],
                 replica_id=record["replica_id"],
@@ -618,11 +568,9 @@ class ControlPlaneSimulator:
                 slowdown=record.get("slowdown", 0.0),
             ))
 
-        # -- per-tier accounting ----------------------------------------
         tiers = []
-        for index, tier in enumerate(self.tiers):
-            ids = [r for r in all_requests
-                   if int(tier_of[r.request_id]) == index]
+        for index, tier in enumerate(sim.tiers):
+            ids = [r for r in arrived if int(tier_of[r.request_id]) == index]
             tier_done = [r for r in ids
                          if r.request_id not in shed_ids
                          and r.finish_time is not None]
@@ -649,14 +597,14 @@ class ControlPlaneSimulator:
         generated = sum(r.generated for r in finished)
         span = makespan if makespan > 0 else 1.0
         trace_summary = None
-        if traced:
-            tracer.set_clock(makespan)
-            trace_summary = tracer.summary(since=trace_start,
-                                           include_metrics=False)
+        if self.tracer.enabled:
+            self.tracer.set_clock(makespan)
+            trace_summary = self.tracer.summary(since=self.trace_start,
+                                                include_metrics=False)
         return ControlPlanePlanReport(
-            plan=self.plan.value,
-            policy=self.policy_name,
-            arrived=len(all_requests),
+            plan=self.plan,
+            policy=sim.policy_name,
+            arrived=len(arrived),
             finished=len(finished),
             shed=len(shed_ids),
             rejected=rejected,
@@ -668,16 +616,16 @@ class ControlPlaneSimulator:
             tpot=LatencyStats.from_values([r.tpot for r in finished]),
             e2e=LatencyStats.from_values(
                 [r.e2e_latency for r in finished]),
-            mean_replicas=occupancy["area"] / span,
-            peak_replicas=occupancy["peak"],
-            replica_seconds=occupancy["area"],
-            cold_starts=cold_starts,
-            cold_start_s=self.cold_start_s,
+            mean_replicas=self.area / span,
+            peak_replicas=self.peak,
+            replica_seconds=self.area,
+            cold_starts=self.cold_starts,
+            cold_start_s=sim.cold_start_s,
             tiers=tuple(tiers),
-            timeline=tuple(timeline),
+            timeline=tuple(self.timeline),
             faults=tuple(faults),
-            autoscaler=(self.autoscaler_config.describe()
-                        if self.autoscaler_config is not None else None),
+            autoscaler=(sim.autoscaler_config.describe()
+                        if sim.autoscaler_config is not None else None),
             trace_summary=trace_summary,
         )
 
@@ -691,6 +639,7 @@ def simulate_controlplane(
     seed: int = 0,
     plans: "tuple[PlanSource | AttentionPlan | str, ...]" = ("sdf",),
     arrival=None,
+    requests: "list[Request] | None" = None,
     tiers: "tuple[SLOTier, ...]" = DEFAULT_TIERS,
     replicas: int = 2,
     autoscaler: "AutoscalerConfig | None" = None,
@@ -701,22 +650,26 @@ def simulate_controlplane(
     """Run one workload through the control plane under several plans.
 
     Every plan replays the same request stream, tier assignment, and
-    failure schedule, so comparisons isolate the attention plan.
+    failure schedule, so comparisons isolate the attention plan.  Pass
+    ``requests`` to replay a trace instead of the synthetic workload
+    (the report's ``arrival`` then reads ``{"kind": "trace"}``).
     Extra keyword arguments reach :class:`ControlPlaneSimulator`
-    (``shed_backlog_tokens``, ``cold_start_s``, ``tp``, ``pp``, ...).
+    (``shed_backlog_tokens``, ``cold_start_s``, ``tp``, ``engine``,
+    ...).
     """
     model = get_model(model) if isinstance(model, str) else model
     gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    block_tokens = kwargs.get("block_tokens", 64)
-    workload = ServingWorkload(
-        rate=rate, duration=duration, seed=seed,
-        block_tokens=block_tokens, arrival=arrival,
-    )
+    workload = None
+    if requests is None:
+        workload = ServingWorkload(
+            rate=rate, duration=duration, seed=seed,
+            block_tokens=kwargs.get("block_tokens", 64), arrival=arrival,
+        )
     reports = {}
     for plan in plans:
         sim = ControlPlaneSimulator(
-            model, gpu, workload=workload, plan=PlanSource.of(plan),
-            tiers=tiers,
+            model, gpu, workload=workload, requests=requests, seed=seed,
+            plan=PlanSource.of(plan), tiers=tiers,
             replicas=replicas, autoscaler=autoscaler, faults=faults,
             policy=policy, **kwargs,
         )
@@ -727,7 +680,8 @@ def simulate_controlplane(
         gpu=gpu.name,
         seed=seed,
         duration=duration,
-        arrival=workload.arrival.describe(),
+        arrival=(workload.arrival.describe() if workload is not None
+                 else {"kind": "trace"}),
         replicas=replicas,
         policy=policy if isinstance(policy, str) else policy.name,
         plans=reports,
@@ -737,21 +691,35 @@ def simulate_controlplane(
 
 
 def verification_oracles():
-    """Fuzz oracle: request conservation under random replica deaths.
+    """Fuzz oracles: request conservation under random replica deaths,
+    and a static fleet's equivalence with the plain cluster.
 
-    For any seeded workload and random death schedule, every arrived
-    request must end exactly one way — finished, shed, or rejected —
-    with nothing in flight after the drain, and no re-queued request
-    may be lost.  The oracle replays a small MMPP scenario with 1–3
-    deaths and checks the identity the control plane reports.
+    *Conservation*: for any seeded workload and random death schedule,
+    every arrived request must end exactly one way — finished, shed,
+    or rejected — with nothing in flight after the drain, and no
+    re-queued request may be lost.  The oracle replays a small MMPP
+    scenario with 1–3 deaths and checks the identity the control plane
+    reports.
 
-    Each run simulates a full (small) control-plane scenario, so the
-    oracle gates itself to a deterministic slice of the serving
-    family's cases rather than slowing every fuzz invocation down.
+    *Static fleet*: with no autoscaler, faults, or shedding, the
+    control plane is the cluster router plus bookkeeping, so every
+    request's arrival, first-token, and finish times must equal a
+    cluster-sim run's under the same policy, exactly.  (Aggregate
+    means may differ in the last ulp: the two reports sum in different
+    orders.)
+
+    Each run simulates full (small) scenarios, so both oracles gate
+    themselves to deterministic slices of the serving family's cases
+    rather than slowing every fuzz invocation down.
     """
+    from types import SimpleNamespace
+
+    from repro.cluster.policies import POLICIES
+    from repro.cluster.router import ClusterSimulator
     from repro.common.dtypes import DType as _DType
     from repro.serving.arrivals import MMPPArrivals
-    from repro.verify.contracts import SERVING_COST
+    from repro.serving.requests import RequestArrays
+    from repro.verify.contracts import EXACT, SERVING_COST
     from repro.verify.invariants import Violation
     from repro.verify.registry import OracleSpec
 
@@ -794,6 +762,56 @@ def verification_oracles():
             "expected": np.float64(report.arrived),
             "violations": violations,
         }
+
+    def timelines(simulator, arrays, seed, knobs):
+        """Rows of (id, arrival, first token, finish) for one run, read
+        off the requests the simulator materializes from ``arrays``."""
+        made = []
+
+        class Recorded(RequestArrays):
+            def materialize(self, index):
+                made.append(super().materialize(index))
+                return made[-1]
+
+        recorded = Recorded(arrays.arrival_time, arrays.prompt_len,
+                            arrays.output_len, arrays.prefix_group)
+        simulator("bert-large", "a100", **knobs, workload=SimpleNamespace(
+            request_arrays=lambda: recorded, seed=seed)).run()
+        return np.asarray(sorted(
+            (r.request_id, r.arrival_time, r.first_token_time,
+             r.finish_time) for r in made), dtype=np.float64)
+
+    def run_static_fleet(case):
+        rng = np.random.default_rng((case.params["case_seed"], 0x57A7))
+        seed = int(rng.integers(0, 2**31))
+        arrays = ServingWorkload(
+            rate=float(rng.uniform(2.0, 12.0)),
+            duration=float(rng.uniform(1.0, 3.0)), seed=seed,
+            prefix_groups=int(rng.integers(0, 4))).request_arrays()
+        knobs = dict(
+            plan="sdf",
+            replicas=int(rng.integers(1, 5)),
+            policy=str(rng.choice(sorted(POLICIES))),
+            max_batch=int(rng.integers(2, 17)),
+        )
+        return {
+            "actual": timelines(ControlPlaneSimulator, arrays, seed,
+                                knobs).ravel(),
+            "expected": timelines(ClusterSimulator, arrays, seed,
+                                  knobs).ravel(),
+        }
+
+    yield OracleSpec(
+        name="controlplane.static_fleet_equivalence",
+        family="serving",
+        run=run_static_fleet,
+        contracts={_DType.FP32: EXACT, _DType.FP16: EXACT},
+        description=(
+            "without autoscaler, faults, or shedding, every request's "
+            "arrival, first-token, and finish times equal cluster-sim's"
+        ),
+        applies=lambda case: case.params["case_seed"] % 16 == 8,
+    )
 
     yield OracleSpec(
         name="controlplane.failure_conservation",

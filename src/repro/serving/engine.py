@@ -40,8 +40,7 @@ decision (docs/performance.md spells out the invalidation rules):
   ignored), so the fast path can never preempt — if even one step
   doesn't provably fit, the engine falls back to the classic step,
   which handles preemption;
-- a step budget (``max_steps`` bookkeeping) and a hard per-epoch cap
-  bounding the vectorized working set.
+- a hard per-epoch cap bounding the vectorized working set.
 
 Tracing disengages the fast path entirely: a traced run takes the
 classic per-step path so every span is emitted exactly as before.
@@ -55,7 +54,12 @@ from repro.obs.tracer import NULL_TRACER
 from repro.serving.metrics import LatencyAccumulator
 from repro.serving.requests import RequestStatus
 
-__all__ = ["EpochEngine", "DEFAULT_MAX_EPOCH", "sequential_sum"]
+__all__ = ["EpochEngine", "DEFAULT_MAX_EPOCH", "ENGINE_MODES",
+           "sequential_sum"]
+
+#: Execution modes: ``epoch`` (vectorized fast path, the default) and
+#: ``event`` (the classic one-step-per-iteration loop).
+ENGINE_MODES = ("epoch", "event")
 
 #: Hard cap on steps folded into one epoch; bounds the per-epoch
 #: working set (one float per step).
@@ -198,16 +202,14 @@ class EpochEngine:
 
     # -- stepping -------------------------------------------------------
 
-    def advance(self, limit_time: "float | None" = None,
-                max_new_steps: "int | None" = None) -> int:
+    def advance(self, limit_time: "float | None" = None) -> int:
         """Advance the engine; returns how many steps were taken.
 
         Takes one epoch (>= 1 steps) when the batch is in pure decode
         and the fast path applies, otherwise exactly one classic step;
         0 means the scheduler produced an empty step (idle).  No epoch
         step starts at or after ``limit_time`` (the caller's next
-        pending arrival), and at most ``max_new_steps`` are taken on
-        the fast path.
+        pending arrival).
         """
         if self.epoch and not self.tracer.enabled and self.spec_decode is None:
             scheduler = self.scheduler
@@ -215,7 +217,7 @@ class EpochEngine:
             running = scheduler.running
             if running and all(r.prefilled >= r.prefill_target
                                for r in running):
-                advanced = self._advance_epoch(limit_time, max_new_steps)
+                advanced = self._advance_epoch(limit_time)
                 if advanced:
                     return advanced
         return self._classic_step()
@@ -273,7 +275,7 @@ class EpochEngine:
             self._record_finish(request)
         return 1
 
-    def _advance_epoch(self, limit_time, max_new_steps) -> int:
+    def _advance_epoch(self, limit_time) -> int:
         """Pure-decode fast path; 0 means "fall back to a classic step".
 
         The epoch is priced by segments: between finishes and KV-bucket
@@ -293,8 +295,6 @@ class EpochEngine:
         n_cap = min(rem) if scheduler.waiting else max(rem)
         if n_cap > self.max_epoch:
             n_cap = self.max_epoch
-        if max_new_steps is not None and max_new_steps < n_cap:
-            n_cap = max_new_steps
         if limit_time is not None and self._cost_hint > 0.0:
             # Don't plan steps the arrival deadline will truncate
             # anyway; underestimating just means the next advance()

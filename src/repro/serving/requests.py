@@ -167,6 +167,42 @@ class RequestArrays:
         return [self.materialize(index) for index in range(len(self))]
 
 
+def request_stream(requests: "list[Request] | None",
+                   workload: "ServingWorkload | None",
+                   ) -> "list[Request] | RequestArrays":
+    """The stream a simulator replays: ``requests`` sorted by arrival
+    (ties by id), or ``workload``'s shared arrays.  Exactly one of the
+    two must be given."""
+    if (requests is None) == (workload is None):
+        raise ServingError("provide exactly one of `requests` or `workload`")
+    if requests is None:
+        return workload.request_arrays()
+    return sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
+
+
+def fresh_requests(stream: "list[Request] | RequestArrays", *,
+                   start: int = 0, stride: int = 1):
+    """Fresh copies of ``stream``'s requests, in order, made lazily.
+
+    ``stream`` is a time-sorted list of request templates or a
+    :class:`RequestArrays`.  The scheduler mutates request state and a
+    simulation must be repeatable, so every run replays its own
+    objects, created one at a time so streaming runs never hold the
+    whole stream.  ``start``/``stride`` select every ``stride``-th
+    request (one replica's share of a round-robin split).
+    """
+    if isinstance(stream, RequestArrays):
+        for index in range(start, len(stream), stride):
+            yield stream.materialize(index)
+        return
+    for r in stream[start::stride]:
+        yield Request(
+            request_id=r.request_id, arrival_time=r.arrival_time,
+            prompt_len=r.prompt_len, output_len=r.output_len,
+            prefix_group=r.prefix_group,
+        )
+
+
 class ServingWorkload:
     """Deterministic synthetic request stream.
 

@@ -74,6 +74,14 @@ class ContinuousBatchingScheduler:
     trace_process:
         Trace process name the scheduler's events land on; cluster
         replicas pass their own name so lanes never collide.
+
+    Attributes
+    ----------
+    first_token_log:
+        ``None``, or a list every request is appended to the moment it
+        emits its first token, whether or not tracing is on.  Several
+        schedulers may share one list; the control plane's autoscaler
+        reads its attainment window from it.
     """
 
     def __init__(
@@ -101,6 +109,7 @@ class ContinuousBatchingScheduler:
         self.preemption_events = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_process = trace_process
+        self.first_token_log: "list[Request] | None" = None
 
     def _sched_event(self, name: str, ts: float, request: Request) -> None:
         """One scheduling decision as an instant on the scheduler lane."""
@@ -250,6 +259,8 @@ class ContinuousBatchingScheduler:
                     request.generated = 1
                     self.tracer.metrics.counter(
                         f"{self.trace_process}.first_tokens").inc()
+                    if self.first_token_log is not None:
+                        self.first_token_log.append(request)
                     if self.tracer.enabled:
                         pid, tid = self.tracer.track(
                             self.trace_process, "scheduler")

@@ -8,6 +8,9 @@ step's effects (tokens emitted, requests finished) land at the step's
 completion time.  When no request is resident the clock fast-forwards
 to the next arrival — idle time costs nothing to simulate.
 
+A single-node run is the one-replica case of the cluster: the
+simulator builds one :class:`~repro.cluster.replica.Replica` and runs
+it through the shared :func:`~repro.cluster.router.drive` loop.
 Stepping is delegated to :class:`~repro.serving.engine.EpochEngine`:
 by default pure-decode stretches advance in vectorized epochs that are
 bit-identical to the classic per-step loop, and ``engine="event"``
@@ -25,6 +28,8 @@ plan, request stream) always yields a byte-identical report.
 
 from __future__ import annotations
 
+from repro.cluster.replica import Replica
+from repro.cluster.router import drive
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
@@ -33,20 +38,18 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.obs.instrument import emit_request_phase_spans
 from repro.obs.tracer import current_tracer
-from repro.serving.costmodel import StepCostModel
-from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
-from repro.serving.memory import KVBlockManager
+from repro.serving.engine import DEFAULT_MAX_EPOCH, ENGINE_MODES
 from repro.serving.metrics import (
     EXACT_PERCENTILE_CUTOVER,
     PlanReport,
     ServingReport,
 )
-from repro.serving.requests import Request, ServingWorkload
-from repro.serving.scheduler import ContinuousBatchingScheduler
-
-#: Execution modes: ``epoch`` (vectorized fast path, the default) and
-#: ``event`` (the classic one-step-per-iteration loop).
-ENGINE_MODES = ("epoch", "event")
+from repro.serving.requests import (
+    Request,
+    ServingWorkload,
+    fresh_requests,
+    request_stream,
+)
 
 
 class ServingSimulator:
@@ -91,10 +94,6 @@ class ServingSimulator:
         draft_len: int = 4,
         accept_rate: float = 1.0,
     ) -> None:
-        if (requests is None) == (workload is None):
-            raise ServingError(
-                "provide exactly one of `requests` or `workload`"
-            )
         if engine not in ENGINE_MODES:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
@@ -112,214 +111,47 @@ class ServingSimulator:
             candidates=SUPPORTED_PLANS,
             deprecate=None if plan is None else "ServingSimulator",
         )
-        self.t = t
-        self.dtype = dtype
-        self.chunk_tokens = chunk_tokens
-        self.max_batch = max_batch
-        self.block_tokens = block_tokens
-        self.reserve_fraction = reserve_fraction
         self.max_steps = max_steps
         self.engine = engine
-        self.max_epoch = max_epoch
         self.latency_cutover = latency_cutover
-        if requests is not None:
-            self._requests = sorted(
-                requests, key=lambda r: (r.arrival_time, r.request_id))
-            self._workload = None
-        else:
-            self._requests = None
-            self._workload = workload
-        self.cost = StepCostModel(self.model, self.gpu, plan=self.plan,
-                                  dtype=self.dtype, t=self.t)
-        # Speculative decoding: the draft model gets its own cost model
-        # on the same GPU/plan/dtype so its γ decode steps per round are
-        # priced through the identical kernel stack.
-        self._spec_runtime = None
-        if draft_model is not None:
-            from repro.serving.specdecode import (
-                SpecDecodeConfig,
-                SpecDecodeRuntime,
-            )
-
-            config = SpecDecodeConfig(
-                draft_model=(get_model(draft_model)
-                             if isinstance(draft_model, str)
-                             else draft_model),
-                draft_len=draft_len,
-                accept_rate=accept_rate,
-            )
-            draft_cost = StepCostModel(config.draft_model, self.gpu,
-                                       plan=self.plan, dtype=self.dtype,
-                                       t=self.t)
-            self._spec_runtime = SpecDecodeRuntime(config, draft_cost)
+        self._stream = request_stream(requests, workload)
+        self._replica_kwargs = dict(
+            dtype=dtype, chunk_tokens=chunk_tokens, max_batch=max_batch,
+            block_tokens=block_tokens, reserve_fraction=reserve_fraction,
+            t=t, max_epoch=max_epoch, draft_model=draft_model,
+            draft_len=draft_len, accept_rate=accept_rate,
+        )
 
     @property
     def num_requests(self) -> int:
         """Size of the stream ``run`` will replay."""
-        if self._requests is not None:
-            return len(self._requests)
-        return len(self._workload.request_arrays())
-
-    def _iter_requests(self):
-        """Fresh request copies in arrival order, materialized lazily.
-
-        The scheduler mutates request state, and ``run()`` must be
-        repeatable — so every run gets its own objects, created one at
-        a time so streaming runs never hold the whole stream.
-        """
-        if self._requests is not None:
-            for r in self._requests:
-                yield Request(
-                    request_id=r.request_id, arrival_time=r.arrival_time,
-                    prompt_len=r.prompt_len, output_len=r.output_len,
-                    prefix_group=r.prefix_group,
-                )
-        else:
-            arrays = self._workload.request_arrays()
-            for index in range(len(arrays)):
-                yield arrays.materialize(index)
+        return len(self._stream)
 
     def run(self) -> PlanReport:
         """Simulate the stream to completion and aggregate metrics."""
         tracer = current_tracer()
         trace_start = tracer.event_count
-        lane = f"{self.plan.value}:engine"
-        memory = KVBlockManager.for_model(
-            self.model, self.gpu, block_tokens=self.block_tokens,
-            dtype=self.dtype, reserve_fraction=self.reserve_fraction,
-        )
-        scheduler = ContinuousBatchingScheduler(
-            memory, chunk_tokens=self.chunk_tokens,
-            max_batch=self.max_batch,
-            tracer=tracer, trace_process=lane,
-        )
-
-        def trace_step(step, *, ts, dur, comm):
-            self._trace_step(tracer, lane, step, scheduler, memory,
-                             ts=ts, dur=dur)
-
-        engine = EpochEngine(
-            cost=self.cost, memory=memory, scheduler=scheduler,
-            tracer=tracer, epoch=self.engine == "epoch",
-            max_epoch=self.max_epoch, on_step=trace_step,
-            spec_decode=self._spec_runtime,
-        )
         # Below the cutover (or whenever tracing needs per-request
         # spans) requests are retained and the report is exact; above
         # it, finished requests are dropped and the engine's streaming
         # accumulators carry the metrics in O(1) memory.
         retain = tracer.enabled or self.num_requests <= self.latency_cutover
-        stream: "list[Request]" = []
-        source = self._iter_requests()
-        pending = next(source, None)
-
-        while True:
-            while (pending is not None
-                   and pending.arrival_time <= engine.clock):
-                if retain:
-                    stream.append(pending)
-                engine.submit(pending)
-                pending = next(source, None)
-
-            limit = pending.arrival_time if pending is not None else None
-            advanced = engine.advance(
-                limit_time=limit,
-                max_new_steps=self.max_steps - engine.steps + 1,
-            )
-            if advanced == 0:
-                if pending is not None:
-                    # Idle: fast-forward to the next arrival.
-                    engine.clock = max(engine.clock, pending.arrival_time)
-                    continue
-                if scheduler.has_work:
-                    raise ServingError(
-                        "scheduler stalled with work outstanding"
-                    )
-                break
-            if engine.steps > self.max_steps:
-                raise ServingError(
-                    f"simulation exceeded {self.max_steps} steps "
-                    f"(clock {engine.clock:.1f}s); lower the rate or "
-                    f"duration"
-                )
+        replica = Replica(0, self.model, self.gpu, plan=self.plan,
+                          tracer=tracer, engine=self.engine,
+                          retain_requests=retain, **self._replica_kwargs)
+        drive([replica], fresh_requests(self._stream),
+              lambda request: replica, max_steps=self.max_steps)
 
         trace_summary = None
         if tracer.enabled:
-            tracer.set_clock(engine.clock)
+            tracer.set_clock(replica.clock)
             emit_request_phase_spans(
-                tracer, stream, process=f"{self.plan.value}:requests")
+                tracer, replica.requests,
+                process=f"{self.plan.value}:requests")
             trace_summary = tracer.summary(since=trace_start,
                                            include_metrics=False)
-        if retain:
-            return PlanReport.from_run(
-                plan=self.plan.value,
-                requests=stream,
-                memory=memory.stats(),
-                hbm_bytes=self.gpu.hbm_bytes,
-                makespan=engine.clock,
-                busy_time=engine.busy,
-                steps=engine.steps,
-                prefill_tokens=engine.prefill_tokens,
-                preemption_events=scheduler.preemption_events,
-                trace_summary=trace_summary,
-            )
-        return PlanReport.from_aggregates(
-            plan=self.plan.value,
-            num_requests=self.num_requests,
-            finished=engine.finished,
-            rejected=engine.rejected,
-            preemption_events=scheduler.preemption_events,
-            preempted_requests=engine.preempted_requests,
-            generated_tokens=engine.generated_tokens,
-            ttft=engine.ttft,
-            tpot=engine.tpot,
-            e2e=engine.e2e,
-            memory=memory.stats(),
-            hbm_bytes=self.gpu.hbm_bytes,
-            makespan=engine.clock,
-            busy_time=engine.busy,
-            steps=engine.steps,
-            prefill_tokens=engine.prefill_tokens,
-            trace_summary=trace_summary,
-        )
-
-    def _trace_step(self, tracer, lane, step, scheduler, memory,
-                    *, ts, dur):
-        """Record one engine iteration: a step span plus occupancy
-        counters on the plan's engine lane."""
-        pid, tid = tracer.track(lane, "steps")
-        decode = len(step.decode)
-        chunk_tokens = sum(chunk for _, chunk, _ in step.prefill)
-        args = {"decode": decode,
-                "prefill_chunks": len(step.prefill),
-                "prefill_tokens": chunk_tokens,
-                "running": len(scheduler.running),
-                "waiting": len(scheduler.waiting)}
-        if self._spec_runtime is not None:
-            # Called before complete_step, so kv_tokens is still the
-            # pre-round length — the delta is this round's emission.
-            emitted = sum(kv - r.kv_tokens for r, kv in step.decode)
-            args["spec_emitted"] = emitted
-            args["spec_verify_rows"] = sum(
-                1 for r, kv in step.decode if kv - r.kv_tokens > 1)
-            tracer.metrics.counter(f"{lane}.spec_emitted").add(emitted)
-        tracer.complete(
-            "engine step", "engine-step", ts=ts, dur=dur, pid=pid, tid=tid,
-            args=args,
-        )
-        tracer.counter(
-            f"{lane} occupancy", ts=ts, pid=pid,
-            values={"running": len(scheduler.running),
-                    "waiting": len(scheduler.waiting),
-                    "kv_blocks": memory.used_blocks},
-        )
-        tracer.metrics.counter(f"{lane}.steps").inc()
-        tracer.metrics.counter(f"{lane}.decode_tokens").add(decode)
-        tracer.metrics.counter(f"{lane}.prefill_tokens").add(chunk_tokens)
-        tracer.metrics.gauge(f"{lane}.batch").set(
-            len(scheduler.running))
-        tracer.metrics.gauge(f"{lane}.kv_blocks").set(
-            memory.used_blocks)
+        return replica.outcome().report(self.plan.value,
+                                        trace_summary=trace_summary)
 
 
 def simulate_serving(

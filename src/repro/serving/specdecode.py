@@ -115,9 +115,10 @@ def verification_oracles():
             AttentionSpec,
             ModelConfig,
         )
-        from repro.core.plansource import PlanSource
-        from repro.serving.requests import Request
-        from repro.serving.simulator import ServingSimulator
+        from repro.cluster.replica import Replica
+        from repro.cluster.router import drive
+        from repro.gpu.specs import get_gpu
+        from repro.serving.requests import Request, fresh_requests
 
         seed = int(case.params.get("case_seed", 0))
         rng = np.random.default_rng((seed, 0x5DEC))
@@ -141,27 +142,21 @@ def verification_oracles():
             )
             for i in range(n)
         ]
+        requests.sort(key=lambda r: (r.arrival_time, r.request_id))
         draft_len = int(rng.integers(1, 9))
 
-        class CapturingSim(ServingSimulator):
-            def _iter_requests(self):
-                self.captured = []
-                for request in super()._iter_requests():
-                    self.captured.append(request)
-                    yield request
-
         def outcome(**spec_kwargs):
-            sim = CapturingSim(
-                tiny, "A100", plan=PlanSource.of("baseline"),
-                requests=requests,
-                chunk_tokens=256, max_batch=4, engine="event",
-                **spec_kwargs,
-            )
-            sim.run()
-            finished = {r.request_id for r in sim.captured
+            # One event-loop replica driven directly, so the finished
+            # requests themselves can be read back.
+            replica = Replica(0, tiny, get_gpu("A100"), plan="baseline",
+                              chunk_tokens=256, max_batch=4,
+                              engine="event", **spec_kwargs)
+            drive([replica], fresh_requests(requests),
+                  lambda request: replica, max_steps=100_000)
+            finished = {r.request_id for r in replica.requests
                         if r.finish_time is not None}
             generated = {r.request_id: r.generated
-                         for r in sim.captured}
+                         for r in replica.requests}
             return generated, finished
 
         plain_counts, plain_done = outcome()

@@ -36,6 +36,7 @@ HOOK_MODULES = (
     "repro.serving.specdecode",
     "repro.models.moe",
     "repro.gpu.interconnect",
+    "repro.cluster.router",
     "repro.controlplane.controller",
 )
 

@@ -178,6 +178,30 @@ class TestCLI:
         assert "per replica" in out
         assert "sdf over baseline" in out
 
+    def test_controlplane_sim_trace_file(self, capsys, tmp_path):
+        """The trace file replaces the synthetic stream: exactly its
+        two requests arrive."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"arrival_time": 0.0, "prompt_len": 256, "output_len": 8}\n'
+            '{"arrival_time": 0.2, "prompt_len": 512, "output_len": 4}\n'
+        )
+        out = run_cli(capsys, "controlplane-sim", "--trace-file",
+                      str(path), "--json")
+        report = json.loads(out)
+        plan = report["plans"]["sdf"]
+        assert plan["arrived"] == 2
+        assert plan["finished"] == 2
+        assert report["arrival"] == {"kind": "trace"}
+
+    def test_controlplane_sim_engine_modes_agree(self, capsys):
+        argv = ("controlplane-sim", "--arrival", "mmpp", "--rate", "2",
+                "--burst-rate", "8", "--duration", "6", "--autoscale",
+                "--death", "2.5", "--seed", "3", "--json")
+        epoch = run_cli(capsys, *argv, "--engine", "epoch")
+        event = run_cli(capsys, *argv, "--engine", "event")
+        assert json.loads(epoch) == json.loads(event)
+
     def test_cluster_sim_deterministic(self, capsys):
         argv = ("cluster-sim", "--rate", "2", "--duration", "3",
                 "--seed", "7", "--replicas", "2", "--policy",

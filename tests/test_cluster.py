@@ -264,10 +264,48 @@ class TestClusterSimulator:
         ).plans["sdf"]
         # One unsharded replica is exactly the single-node simulator.
         replica = cluster.per_replica[0].report
-        assert replica.finished == single.finished
-        assert replica.steps == single.steps
-        assert replica.makespan == pytest.approx(single.makespan)
-        assert replica.ttft.p99 == pytest.approx(single.ttft.p99)
+        assert replica.to_dict() == single.to_dict()
+
+    def test_step_budget_is_per_replica(self):
+        """``max_steps`` bounds each replica's steps, the same way in
+        the serial loop and the sharded mode."""
+        report = ClusterSimulator(
+            TINY, "t4", plan="sdf", requests=tiny_requests(), replicas=2,
+        ).run()
+        per_replica = max(r.report.steps for r in report.per_replica)
+        assert per_replica < report.steps
+        for jobs in (1, 2):
+            ClusterSimulator(
+                TINY, "t4", plan="sdf", requests=tiny_requests(),
+                replicas=2, jobs=jobs, max_steps=per_replica,
+            ).run()
+            with pytest.raises(ServingError, match=(
+                    rf"replica \d exceeded {per_replica - 1} steps")):
+                ClusterSimulator(
+                    TINY, "t4", plan="sdf", requests=tiny_requests(),
+                    replicas=2, jobs=jobs, max_steps=per_replica - 1,
+                ).run()
+
+    def test_tiny_step_budget_fails_alike_everywhere(self):
+        from repro.controlplane import ControlPlaneSimulator
+        from repro.core.plansource import PlanSource
+        from repro.serving.simulator import ServingSimulator
+
+        budget = r"replica \d exceeded 2 steps \(clock [0-9.]+s\)"
+        sims = [
+            ServingSimulator(TINY, "t4", plan=PlanSource.of("sdf"),
+                             requests=tiny_requests(), max_steps=2),
+            ClusterSimulator(TINY, "t4", plan="sdf",
+                             requests=tiny_requests(), max_steps=2),
+            ClusterSimulator(TINY, "t4", plan="sdf",
+                             requests=tiny_requests(), max_steps=2,
+                             jobs=2),
+            ControlPlaneSimulator(TINY, "t4", plan="sdf",
+                                  requests=tiny_requests(), max_steps=2),
+        ]
+        for sim in sims:
+            with pytest.raises(ServingError, match=budget):
+                sim.run()
 
     def test_workload_prefix_groups(self):
         stream = ServingWorkload(rate=8, duration=5, seed=0,

@@ -467,30 +467,47 @@ class TestControlLoop:
         assert plan.mean_replicas == pytest.approx(
             plan.replica_seconds / plan.makespan)
 
-    def test_controller_reads_obs_signals(self):
-        """The autoscaler's attainment window is fed from first-token
-        tracer instants, and replicas publish their backlog gauges —
-        verify the signals exist on the shared ambient tracer."""
+    def test_traced_run_matches_untraced(self, monkeypatch):
+        """The controller reads its signals from replica state, not a
+        tracer: an untraced run builds no Tracer at all, and tracing a
+        run changes nothing in its report but the trace summary."""
         from repro.obs import Tracer, tracing
 
-        tracer = Tracer()
-        arrival = MMPPArrivals(rate=2.0, burst_rate=10.0,
-                               base_dwell=4.0, burst_dwell=2.0)
-        with tracing(tracer):
-            simulate_controlplane(
+        def run():
+            return simulate_controlplane(
                 "bert-large", "a100", rate=2.0, duration=6.0, seed=4,
-                plans=("sdf",), replicas=2, arrival=arrival,
+                plans=("sdf",), replicas=2,
+                arrival=MMPPArrivals(rate=2.0, burst_rate=10.0,
+                                     base_dwell=4.0, burst_dwell=2.0),
                 autoscaler=AutoscalerConfig(min_replicas=2,
                                             max_replicas=4,
                                             cold_start_s=0.1),
-                cold_start_s=0.1)
-        names = {e.name for e in tracer.events if e.ph == "i"}
-        assert "first-token" in names
-        snapshot = tracer.metrics.snapshot()
-        gauges = snapshot.get("gauges", snapshot)
-        assert any("outstanding_tokens" in k for k in gauges)
-        counters = snapshot.get("counters", snapshot)
-        assert any("admitted" in k for k in counters)
+                faults=FailureSchedule(deaths=(3.0,)),
+                shed_backlog_tokens=20_000.0, cold_start_s=0.1)
+
+        built = []
+        init = Tracer.__init__
+
+        def counting_init(tracer, *args, **kwargs):
+            built.append(tracer)
+            init(tracer, *args, **kwargs)
+
+        monkeypatch.setattr(Tracer, "__init__", counting_init)
+        untraced = run().to_dict()
+        assert built == []
+        monkeypatch.undo()
+
+        tracer = Tracer()
+        with tracing(tracer):
+            traced = run().to_dict()
+        assert "first-token" in {e.name for e in tracer.events
+                                 if e.ph == "i"}
+        assert traced.pop("trace_summary")
+        for plan in traced["plans"].values():
+            assert plan.pop("trace_summary")["events"] > 0
+        assert traced == untraced
+        plan = untraced["plans"]["sdf"]["controlplane"]
+        assert any(e["action"] == "scale-up" for e in plan["timeline"])
 
 
 # --------------------------------------------------------------------
