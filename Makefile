@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
-	approx-smoke tune-smoke moe-smoke
+	approx-smoke tune-smoke moe-smoke examples-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -56,6 +56,15 @@ moe-smoke:
 		--json > /tmp/moe_smoke.json
 	$(PYTHON) tools/compare_golden.py /tmp/moe_smoke.json \
 		tests/golden/moe_smoke.json
+
+# Every example script end to end, with deprecation warnings as
+# errors: the examples must use only the supported public API.
+examples-smoke:
+	@for example in examples/*.py; do \
+		echo "$$example"; \
+		$(PYTHON) -W error::DeprecationWarning $$example >/dev/null \
+			|| exit 1; \
+	done
 
 bench:
 	$(PYTHON) benchmarks/bench_selfperf.py

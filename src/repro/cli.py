@@ -45,6 +45,13 @@ the parent-parser helpers in :mod:`repro.common.scenario` and build
 one :class:`~repro.common.scenario.ScenarioSpec` from the parsed
 namespace; the spec is the single bridge to the simulators, so the
 tuner's artifacts and the CLI runs describe scenarios identically.
+
+Errors
+------
+A library error (any :class:`~repro.common.errors.ReproError`: an
+infeasible plan, a bad shape, a corrupt ``--plan-file``) prints one
+``error: <message>`` line to stderr and exits with code 2, the code
+argparse uses for malformed flags.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from repro.analysis import (
     render_stacked_bars,
     render_table,
 )
+from repro.common.errors import ReproError
 from repro.common.results import result_dict
 from repro.common.scenario import (
     add_sharding_args,
@@ -421,8 +429,13 @@ def cmd_footprint(args: argparse.Namespace) -> str:
     rows = []
     plans = {}
     for plan in ("baseline", "sd", "sdf"):
-        fp = inference_footprint(config, seq_len=args.seq_len,
-                                 batch=args.batch, plan=plan)
+        try:
+            fp = inference_footprint(config, seq_len=args.seq_len,
+                                     batch=args.batch, plan=plan)
+        except ReproError as error:
+            rows.append([plan, f"({error})", "-", "-", "-", "-"])
+            plans[plan] = {"error": str(error)}
+            continue
         plans[plan] = {
             "weights_bytes": fp.weights,
             "activations_bytes": fp.activations,
@@ -919,7 +932,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    print(args.func(args))
+    try:
+        output = args.func(args)
+    except ReproError as error:
+        print("error: " + " ".join(str(error).split()), file=sys.stderr)
+        return 2
+    print(output)
     return getattr(args, "_exit_code", 0)
 
 

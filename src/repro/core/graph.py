@@ -15,24 +15,23 @@ appears as an edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from repro.common.errors import PlanError
 from repro.gpu.device import Device
 from repro.kernels.base import Kernel
 
 
-@dataclass(frozen=True)
-class Buffer:
+class Buffer(NamedTuple):
     """A DRAM-resident tensor flowing between kernels."""
 
     name: str
     nbytes: float = 0.0
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One kernel launch with named inputs and outputs."""
 
     kernel: Kernel
@@ -55,6 +54,7 @@ class KernelGraph:
     def __init__(self) -> None:
         self._buffers: dict[str, Buffer] = {}
         self._nodes: list[Node] = []
+        self._producers: dict[str, Node] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -68,8 +68,7 @@ class KernelGraph:
                     f"({existing.nbytes} vs {nbytes})"
                 )
             return existing
-        buffer = Buffer(name=name, nbytes=nbytes)
-        self._buffers[name] = buffer
+        buffer = self._buffers[name] = Buffer(name, nbytes)
         return buffer
 
     def add_node(
@@ -79,16 +78,21 @@ class KernelGraph:
         outputs: Iterable[str],
     ) -> Node:
         """Append a kernel launch; auto-declares unknown buffers."""
-        inputs = tuple(inputs)
-        outputs = tuple(outputs)
-        for name in (*inputs, *outputs):
-            self.add_buffer(name)
-        for name in outputs:
-            if self.producer(name) is not None:
-                raise PlanError(f"buffer {name!r} already has a producer")
-        node = Node(kernel=kernel, inputs=inputs, outputs=outputs)
+        node = Node(kernel=kernel, inputs=tuple(inputs),
+                    outputs=tuple(outputs))
+        self._declare(node)
         self._nodes.append(node)
         return node
+
+    def _declare(self, node: Node) -> None:
+        """Register ``node``'s buffers and claim its outputs."""
+        for name in (*node.inputs, *node.outputs):
+            if name not in self._buffers:
+                self._buffers[name] = Buffer(name)
+        for name in node.outputs:
+            if name in self._producers:
+                raise PlanError(f"buffer {name!r} already has a producer")
+            self._producers[name] = node
 
     # -- queries ----------------------------------------------------------
 
@@ -102,12 +106,13 @@ class KernelGraph:
         """Declared buffers by name."""
         return dict(self._buffers)
 
+    def buffer(self, name: str) -> Buffer:
+        """The declared buffer ``name``."""
+        return self._buffers[name]
+
     def producer(self, buffer: str) -> Optional[Node]:
         """The node writing ``buffer``, or None for graph inputs."""
-        for node in self._nodes:
-            if buffer in node.outputs:
-                return node
-        return None
+        return self._producers.get(buffer)
 
     def consumers(self, buffer: str) -> tuple[Node, ...]:
         """All nodes reading ``buffer``."""
@@ -140,11 +145,30 @@ class KernelGraph:
             self.consumers(buffer)
         )
 
+    def peak_live_bytes(self, buffers: Iterable[str]) -> float:
+        """Largest total size of ``buffers`` resident at once.
+
+        A buffer is resident from the first launch that touches it
+        (writes or reads) through the last; the peak is taken over the
+        launch order.
+        """
+        spans = []
+        for name in buffers:
+            touched = [i for i, node in enumerate(self._nodes)
+                       if name in node.inputs or name in node.outputs]
+            if touched:
+                spans.append((touched[0], touched[-1],
+                              self._buffers[name].nbytes))
+        return max((sum(size for first, last, size in spans
+                        if first <= i <= last)
+                    for i in range(len(self._nodes))), default=0)
+
     def validate(self) -> None:
         """Check the graph is executable in its launch order."""
-        ready = set(self.inputs())
+        ready: set[str] = set()
         for node in self._nodes:
-            missing = [b for b in node.inputs if b not in ready]
+            missing = [b for b in node.inputs
+                       if b in self._producers and b not in ready]
             if missing:
                 raise PlanError(
                     f"node {node.name!r} reads {missing} before production"
@@ -156,18 +180,21 @@ class KernelGraph:
     def replace_nodes(
         self, old: Iterable[Node], new: Iterable[Node]
     ) -> None:
-        """Splice ``new`` nodes where the first of ``old`` stood."""
+        """Splice ``new`` nodes where the first of ``old`` stood.
+
+        Rewrite passes splice freely and leave :meth:`validate` to the
+        end of their pipeline (:func:`repro.core.recompose.apply_plan`).
+        """
         old = list(old)
-        new = list(new)
-        indices = [self._nodes.index(node) for node in old]
-        insert_at = min(indices)
+        insert_at = min(self._nodes.index(node) for node in old)
         for node in old:
             self._nodes.remove(node)
-        self._nodes[insert_at:insert_at] = new
+            for name in node.outputs:
+                del self._producers[name]
+        new = list(new)
         for node in new:
-            for name in (*node.inputs, *node.outputs):
-                self.add_buffer(name)
-        self.validate()
+            self._declare(node)
+        self._nodes[insert_at:insert_at] = new
 
     # -- execution ----------------------------------------------------------
 
@@ -176,6 +203,25 @@ class KernelGraph:
         self.validate()
         for node in self._nodes:
             node.kernel.simulate(device)
+
+    def run(
+        self, device: Optional[Device], inputs: Mapping[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Execute the dataflow numerically (and on ``device`` if given).
+
+        Each node's ``kernel.run`` consumes its input buffers from
+        ``inputs`` or earlier nodes and produces its output buffers;
+        unused entries of ``inputs`` are ignored.  Returns the graph's
+        :meth:`outputs` by name.
+        """
+        values = dict(inputs)
+        for node in self._nodes:
+            result = node.kernel.run(
+                device, *(values[name] for name in node.inputs))
+            if len(node.outputs) == 1:
+                result = (result,)
+            values.update(zip(node.outputs, result))
+        return {name: values[name] for name in self.outputs()}
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -74,20 +74,19 @@ def attention_matrix_sweeps(plan: AttentionPlan) -> int:
     """Off-chip sweeps of the attention matrix across the whole SDA
     block (write + read each count once) — the Fig. 6 audit.
 
-    Baseline: QK^T writes it, softmax reads + writes, AV reads => 4.
-    SD: QK^T write, LS read/write, GS read/write, AV read => 6.
-    SDF: fused QK^T+LS write, fused GS+AV read => 2.
-    Fully fused MHA: the matrix never leaves the SM => 0 (but only
-    exists for short sequences).
+    Read off the plan's kernel graph: the accesses of the raw, locally
+    softmaxed and normalised matrix buffers.  Baseline: QK^T writes
+    it, softmax reads + writes, AV reads => 4.  SD: QK^T write, LS
+    read/write, GS read/write, AV read => 6.  SDF: fused QK^T+LS
+    write, fused GS+AV read => 2.  Flash and fully fused MHA: the
+    matrix never leaves the SM => 0.
     """
-    return {
-        AttentionPlan.BASELINE: 4,
-        AttentionPlan.ONLINE: 4,
-        AttentionPlan.TURBO: 4,
-        AttentionPlan.DECOMPOSED: 6,
-        AttentionPlan.FUSED_LS_ONLY: 4,
-        AttentionPlan.FUSED_GS_ONLY: 4,
-        AttentionPlan.RECOMPOSED: 2,
-        AttentionPlan.FULLY_FUSED: 0,
-        AttentionPlan.FLASH: 0,
-    }[plan]
+    from repro.core.recompose import (
+        AttentionContext,
+        apply_plan,
+        build_dense_sda_graph,
+        matrix_sweeps,
+    )
+
+    graph = build_dense_sda_graph(1, 64, 64)
+    return matrix_sweeps(apply_plan(graph, AttentionContext(plan)))

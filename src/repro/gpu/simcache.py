@@ -17,9 +17,11 @@ thesis (do the reduction once, reuse it everywhere):
 - a **simulate cache** keyed by the full
   :class:`~repro.models.runtime.InferenceSession` configuration,
   returning deep-frozen :class:`~repro.models.runtime.InferenceResult`
-  objects (their profiles reject further mutation).
+  objects (their profiles reject further mutation);
+- a **step cache** keyed by the shape and plan of one generation step,
+  returning the tuple of attention kernels its pass pipeline builds.
 
-Both caches expose hit/miss counters (:func:`stats`), explicit
+All caches expose hit/miss counters (:func:`stats`), explicit
 invalidation (:func:`invalidate`), and an escape hatch: set the
 environment variable ``REPRO_SIMCACHE=0`` to disable all caching and
 fall back to the pre-cache behaviour (used by ``bench_selfperf`` to
@@ -132,7 +134,12 @@ kernel_cache = SimCache("kernel")
 #: :meth:`repro.models.runtime.InferenceSession.simulate`.
 simulate_cache = SimCache("simulate")
 
-_ALL_CACHES = (kernel_cache, simulate_cache)
+#: Step-shape -> attention kernel pipeline memo behind
+#: :func:`repro.models.generation.attention_step_kernels` (every replica
+#: of one configuration prices the same step shapes).
+step_cache = SimCache("step")
+
+_ALL_CACHES = (kernel_cache, simulate_cache, step_cache)
 
 
 def invalidate() -> None:

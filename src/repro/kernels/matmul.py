@@ -16,7 +16,6 @@ fuse (Section 2.3).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,12 +192,14 @@ def attention_score_matmul(
     epilogue: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     epilogue_flops_per_element: float = 0.0,
     tile_n: int = 128,
+    kv_seq_len: int = 0,
 ) -> MatMulKernel:
-    """The ``Q @ K^T`` MatMul producing the L x L attention matrix."""
+    """The ``Q @ K^T`` MatMul producing the L x L_kv attention matrix
+    (``kv_seq_len`` defaults to ``seq_len``)."""
     return MatMulKernel(
         batch=batch_heads,
         m=seq_len,
-        n=seq_len,
+        n=kv_seq_len or seq_len,
         k=d_head,
         dtype=dtype,
         tile_m=128,
@@ -217,16 +218,17 @@ def attention_value_matmul(
     d_head: int,
     *,
     dtype: DType = DType.FP16,
+    kv_seq_len: int = 0,
 ) -> MatMulKernel:
     """The ``A @ V`` MatMul consuming the attention matrix."""
     return MatMulKernel(
         batch=batch_heads,
         m=seq_len,
         n=d_head,
-        k=seq_len,
+        k=kv_seq_len or seq_len,
         dtype=dtype,
         tile_m=128,
-        tile_n=min(128, math.ceil(d_head / 8) * 8),
+        tile_n=min(128, max(8, d_head)),
         tile_k=32,
         name="sda_av_matmul",
         category=CATEGORY.MATMUL,

@@ -1,19 +1,13 @@
 """The scaled dot-product attention (SDA) block under every plan.
 
-:class:`SDABlock` assembles the kernel pipeline for one attention
-layer — dense or block-sparse — according to the chosen
-:class:`~repro.core.plan.AttentionPlan`:
-
-========================  ==================================================
-plan                      pipeline
-========================  ==================================================
-``BASELINE``              MatMul(+scale/mask) -> softmax -> MatMul
-``ONLINE``                MatMul(+scale/mask) -> online softmax -> MatMul
-``DECOMPOSED`` (SD)       MatMul(+scale/mask) -> LS -> IR -> GS -> MatMul
-``RECOMPOSED`` (SDF)      MatMul(+scale/mask+LS) -> IR -> (GS+MatMul)
-``FUSED_LS_ONLY``         MatMul(+scale/mask+LS) -> IR -> GS -> MatMul
-``FUSED_GS_ONLY``         MatMul(+scale/mask) -> LS -> IR -> (GS+MatMul)
-========================  ==================================================
+:class:`SDABlock` builds one attention layer's baseline kernel graph —
+dense (:func:`~repro.core.recompose.build_dense_sda_graph`, including
+causal and cross-attention) or block-sparse
+(:func:`~repro.core.recompose.build_sparse_sda_graph`) — and rewrites
+it with the chosen plan's passes
+(:func:`~repro.core.recompose.apply_plan`).  Pricing launches the
+rewritten graph's kernels; :meth:`SDABlock.forward` executes the same
+graph numerically.
 
 Scale and mask ride the first MatMul's epilogue in every plan — the
 paper's baseline already fuses element-wise layers (Section 2.3), so
@@ -31,36 +25,16 @@ from repro.common.dtypes import DType
 from repro.common.errors import PlanError, ShapeError
 from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
+from repro.core.recompose import (
+    KEY_PADDING_UNSUPPORTED,
+    AttentionContext,
+    apply_plan,
+    build_dense_sda_graph,
+    build_sparse_sda_graph,
+)
 from repro.gpu.device import Device
 from repro.kernels.base import Kernel
-from repro.kernels.decomposed import (
-    GlobalScaleKernel,
-    InterReductionKernel,
-    LocalSoftmaxKernel,
-)
-from repro.kernels.fused import FusedGSMatMulKernel, FusedMatMulLSKernel
-from repro.kernels.matmul import MatMulKernel
-from repro.kernels.softmax import (
-    BatchedRowSoftmaxKernel,
-    OnlineRowSoftmaxKernel,
-    RowSoftmaxKernel,
-)
 from repro.models.config import AttentionSpec
-from repro.sparse.bsmatmul import (
-    BlockSparseMatMulDSD,
-    BlockSparseMatMulSDD,
-    FusedBSGSMatMulDSD,
-    FusedBSMatMulLSSDD,
-)
-from repro.sparse.bssoftmax import (
-    BlockSparseGS,
-    BlockSparseIR,
-    BlockSparseLS,
-    BlockSparseRowSoftmax,
-)
-
-#: Epilogue cost of scale + additive mask, CUDA-core FLOPs per element.
-_SCALE_MASK_FLOPS = 2.0
 
 
 class _CausalBias:
@@ -151,27 +125,25 @@ class SDABlock:
                 "block-sparse layouts are defined for square "
                 "self-attention; cross-attention must be dense"
             )
-        if key_padding_lengths is not None and (
-            spec.is_sparse
-            or self.plan in (AttentionPlan.FLASH, AttentionPlan.FULLY_FUSED)
-        ):
-            raise PlanError(
-                "key padding masks are supported for the dense epilogue-"
-                "based plans (baseline/sd/sdf/online/turbo)"
-            )
+        if key_padding_lengths is not None and spec.is_sparse:
+            raise PlanError(KEY_PADDING_UNSUPPORTED)
         self.layout = spec.layout(seq_len, seed=layout_seed)
         if self.layout is None:
-            self._kernels = self._build_dense()
+            graph = build_dense_sda_graph(
+                self.batch_heads, seq_len, d_head,
+                kv_seq_len=self.kv_seq_len, dtype=dtype,
+                epilogue=self._dense_epilogue())
         else:
-            if self.plan in (AttentionPlan.ONLINE, AttentionPlan.TURBO,
-                             AttentionPlan.FULLY_FUSED):
-                raise PlanError(
-                    f"the {self.plan.value!r} plan is only implemented for "
-                    f"dense attention"
-                )
-            self._kernels = self._build_sparse()
+            graph = build_sparse_sda_graph(
+                self.layout, self.batch_heads, d_head, dtype=dtype,
+                epilogue=self._sparse_epilogue())
+        #: The plan's pipeline: the base graph rewritten by its passes.
+        self.graph = apply_plan(graph, AttentionContext(
+            self.plan, t=t, scale=self.scale, causal=spec.is_causal,
+            key_padding=key_padding_lengths is not None))
+        self._kernels = tuple(node.kernel for node in self.graph.nodes)
 
-    # -- pipeline construction ------------------------------------------
+    # -- score epilogues -------------------------------------------------
 
     def _padding_bias(self) -> "np.ndarray | None":
         """Additive key-padding mask, ``(batch*heads, 1, kv_len)``.
@@ -220,151 +192,12 @@ class SDABlock:
             return epilogue
         return lambda blocks, layout: blocks * scale
 
-    def _build_dense(self) -> list[Kernel]:
-        bh, length, d = self.batch_heads, self.seq_len, self.d_head
-        kv_len = self.kv_seq_len
-        rows = bh * length
-        epilogue = self._dense_epilogue()
-        plan = self.plan
-
-        def score():
-            return MatMulKernel(
-                batch=bh, m=length, n=kv_len, k=d, dtype=self.dtype,
-                tile_m=128, tile_n=128, tile_k=min(32, d),
-                epilogue=epilogue,
-                epilogue_flops_per_element=_SCALE_MASK_FLOPS,
-                name="sda_qk_matmul", category="matmul",
-            )
-
-        def value():
-            return MatMulKernel(
-                batch=bh, m=length, n=d, k=kv_len, dtype=self.dtype,
-                tile_m=128, tile_n=min(128, max(8, d)), tile_k=32,
-                name="sda_av_matmul", category="matmul",
-            )
-
-        def fused_score():
-            return FusedMatMulLSKernel(
-                batch=bh, m=length, n=kv_len, k=d, t=self.t, dtype=self.dtype,
-                pre_softmax_epilogue=epilogue,
-                pre_softmax_flops_per_element=_SCALE_MASK_FLOPS,
-            )
-
-        def fused_value():
-            return FusedGSMatMulKernel(
-                batch=bh, m=length, n=d, k=kv_len, t=self.t, dtype=self.dtype
-            )
-
-        def n_sv():
-            if kv_len % self.t != 0:
-                raise ShapeError(
-                    f"attention row length {kv_len} not divisible by "
-                    f"T={self.t}"
-                )
-            return kv_len // self.t
-
-        def ls():
-            return LocalSoftmaxKernel(num_subvectors=rows * n_sv(), t=self.t,
-                                      dtype=self.dtype)
-
-        def ir():
-            return InterReductionKernel(rows=rows, mean_subvectors=n_sv())
-
-        def gs():
-            return GlobalScaleKernel(num_subvectors=rows * n_sv(), t=self.t,
-                                     dtype=self.dtype)
-
-        if plan is AttentionPlan.BASELINE:
-            softmax = RowSoftmaxKernel(rows=rows, length=kv_len,
-                                       dtype=self.dtype)
-            return [score(), softmax, value()]
-        if plan is AttentionPlan.ONLINE:
-            softmax = OnlineRowSoftmaxKernel(rows=rows, length=kv_len,
-                                             dtype=self.dtype)
-            return [score(), softmax, value()]
-        if plan is AttentionPlan.TURBO:
-            softmax = BatchedRowSoftmaxKernel(rows=rows, length=kv_len,
-                                              dtype=self.dtype)
-            return [score(), softmax, value()]
-        if plan is AttentionPlan.DECOMPOSED:
-            return [score(), ls(), ir(), gs(), value()]
-        if plan is AttentionPlan.RECOMPOSED:
-            return [fused_score(), ir(), fused_value()]
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            return [fused_score(), ir(), gs(), value()]
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            return [score(), ls(), ir(), fused_value()]
-        if plan is AttentionPlan.FULLY_FUSED:
-            if self.spec.is_causal:
-                raise PlanError(
-                    "the FULLY_FUSED plan does not support causal masks"
-                )
-            if kv_len != length:
-                raise PlanError(
-                    "the FULLY_FUSED plan does not support cross-attention"
-                )
-            from repro.kernels.mha_fused import FullyFusedMHAKernel
-
-            return [FullyFusedMHAKernel(bh, length, d, dtype=self.dtype,
-                                        scale=self.scale)]
-        if plan is AttentionPlan.FLASH:
-            if kv_len != length:
-                raise PlanError(
-                    "the FLASH plan does not support cross-attention"
-                )
-            from repro.kernels.flash import FlashAttentionKernel
-
-            return [FlashAttentionKernel(
-                bh, length, d, dtype=self.dtype, scale=self.scale,
-                causal=self.spec.is_causal,
-            )]
-        raise PlanError(f"unhandled plan {plan}")
-
-    def _build_sparse(self) -> list[Kernel]:
-        bh, d, layout = self.batch_heads, self.d_head, self.layout
-        epilogue = self._sparse_epilogue()
-        plan = self.plan
-
-        score = BlockSparseMatMulSDD(
-            layout, bh, d, dtype=self.dtype,
-            epilogue=epilogue, epilogue_flops_per_element=_SCALE_MASK_FLOPS,
-        )
-        value = BlockSparseMatMulDSD(layout, bh, d, dtype=self.dtype)
-        fused_score = FusedBSMatMulLSSDD(
-            layout, bh, d, dtype=self.dtype,
-            epilogue=epilogue, epilogue_flops_per_element=_SCALE_MASK_FLOPS,
-        )
-        fused_value = FusedBSGSMatMulDSD(layout, bh, d, dtype=self.dtype)
-        ls = BlockSparseLS(layout, bh, dtype=self.dtype)
-        ir = BlockSparseIR(layout, bh)
-        gs = BlockSparseGS(layout, bh, dtype=self.dtype)
-
-        if plan is AttentionPlan.BASELINE:
-            softmax = BlockSparseRowSoftmax(layout, bh, dtype=self.dtype)
-            return [score, softmax, value]
-        if plan is AttentionPlan.DECOMPOSED:
-            return [score, ls, ir, gs, value]
-        if plan is AttentionPlan.RECOMPOSED:
-            return [fused_score, ir, fused_value]
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            return [fused_score, ir, gs, value]
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            return [score, ls, ir, fused_value]
-        if plan is AttentionPlan.FLASH:
-            from repro.sparse.bsflash import BlockSparseFlashAttentionKernel
-
-            return [BlockSparseFlashAttentionKernel(
-                layout, bh, d, dtype=self.dtype, scale=self.scale,
-                causal=self.spec.is_causal,
-            )]
-        raise PlanError(f"unhandled plan {plan}")
-
     # -- execution -------------------------------------------------------
 
     @property
     def kernels(self) -> tuple[Kernel, ...]:
         """The pipeline's kernels, in launch order."""
-        return tuple(self._kernels)
+        return self._kernels
 
     def simulate(self, device: Device) -> None:
         """Launch the pipeline on ``device`` without numerics."""
@@ -391,70 +224,5 @@ class SDABlock:
                 raise ShapeError(
                     f"SDA {name} shape {array.shape}, expected {expected_kv}"
                 )
-        if self.layout is None:
-            return self._forward_dense(q, k, v, device)
-        return self._forward_sparse(q, k, v, device)
-
-    def _forward_dense(self, q, k, v, device):
-        kernels = self._kernels
-        k_t = np.swapaxes(k, 1, 2)
-        plan = self.plan
-        if plan in (AttentionPlan.FULLY_FUSED, AttentionPlan.FLASH):
-            (fused,) = kernels
-            return fused.run(device, q, k, v)
-        if plan in (AttentionPlan.BASELINE, AttentionPlan.ONLINE,
-                    AttentionPlan.TURBO):
-            score, softmax, value = kernels
-            return value.run(device, softmax.run(device, score.run(device, q, k_t)), v)
-        if plan is AttentionPlan.DECOMPOSED:
-            score, ls, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k_t))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.RECOMPOSED:
-            fused_score, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k_t)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            fused_score, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k_t)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            score, ls, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k_t))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        raise PlanError(f"unhandled plan {plan}")
-
-    def _forward_sparse(self, q, k, v, device):
-        kernels = self._kernels
-        plan = self.plan
-        if plan is AttentionPlan.FLASH:
-            (fused,) = kernels
-            return fused.run(device, q, k, v)
-        if plan is AttentionPlan.BASELINE:
-            score, softmax, value = kernels
-            return value.run(device, softmax.run(device, score.run(device, q, k)), v)
-        if plan is AttentionPlan.DECOMPOSED:
-            score, ls, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.RECOMPOSED:
-            fused_score, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            fused_score, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            score, ls, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        raise PlanError(f"unhandled plan {plan}")
+        inputs = {"Q": q, "K": k, "K_T": np.swapaxes(k, 1, 2), "V": v}
+        return self.graph.run(device, inputs)["O"]

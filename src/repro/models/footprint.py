@@ -4,18 +4,19 @@ Section 2.2 motivates sparse attention with the *memory footprint* of
 the attention matrix — O(L^2) per head for dense attention versus
 O(L) for block-sparse — and Section 2.3 notes a single BERT-large
 batch at L = 4096 carries a 512 MB attention matrix.  This module
-computes the peak device-memory footprint of an inference
-configuration: weights, resident activations, the attention matrix (or
-its block-sparse storage), and the plan-dependent softmax
-intermediates:
+computes the peak device-memory footprint of an inference configuration:
+weights, resident activations, and the attention state of the plan's
+kernel graph (:attr:`~repro.models.attention.SDABlock.graph`) — the
+largest set of attention-matrix buffers (``X``, ``X'``, ``Y``) and of
+softmax statistics (``m'``/``d'``/``r'``) resident at once:
 
-- ``BASELINE`` holds the raw scores ``X`` and the softmax output ``Y``
-  (ping-pong: peak is two attention-sized buffers);
-- ``DECOMPOSED`` (SD) peaks while GS reads ``X'`` and writes ``Y``
-  alongside the statistics — same two matrices plus the 1/T extras;
-- ``RECOMPOSED`` (SDF) materialises only ``X'`` plus the 1/T-sized
-  ``m'``/``d'``/``r'`` — *halving* peak attention-matrix memory, a
-  side benefit of the fusion.
+- baseline, online and turbo hold the raw scores ``X`` and the softmax
+  output ``Y`` (ping-pong: two attention-sized buffers);
+- SD and the single-fusion ablations peak with two matrices live
+  (``X``/``X'`` or ``X'``/``Y``), plus the 1/T-sized statistics;
+- SDF materialises only ``X'`` plus the statistics — *halving* peak
+  attention-matrix memory, a side benefit of the fusion;
+- flash and fully fused MHA never write the matrix at all.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.common.dtypes import DType
 from repro.core.plan import AttentionPlan
-from repro.kernels.decomposed import INTERMEDIATE_BYTES
+from repro.core.recompose import MATRIX_BUFFERS, STAT_BUFFERS
 from repro.models.config import ModelConfig
 
 
@@ -62,17 +63,6 @@ def weight_bytes(config: ModelConfig, dtype: DType = DType.FP16) -> int:
     return config.num_layers * per_layer * dtype.nbytes
 
 
-def _attention_matrix_bytes(config: ModelConfig, seq_len: int, batch: int,
-                            dtype: DType, layer: int) -> int:
-    """Bytes of one layer's full attention matrix (or block storage)."""
-    spec = config.layer_attention(layer)
-    layout = spec.layout(seq_len)
-    heads = config.num_heads
-    if layout is None:
-        return batch * heads * seq_len * seq_len * dtype.nbytes
-    return batch * heads * layout.nnz_elements() * dtype.nbytes
-
-
 def inference_footprint(
     config: ModelConfig,
     *,
@@ -83,40 +73,28 @@ def inference_footprint(
     t: int = 64,
 ) -> MemoryFootprint:
     """Peak footprint of one inference (layers execute sequentially, so
-    the peak is the heaviest single layer plus persistent state)."""
-    plan = AttentionPlan.from_name(plan)
-    heads = config.num_heads
+    the peak is the heaviest single layer plus persistent state).
+
+    Raises the plan's :class:`~repro.common.errors.PlanError` when it
+    cannot run one of the model's layers, and
+    :class:`~repro.common.errors.ShapeError` when a decomposing plan's
+    ``t`` does not divide a dense layer's row.
+    """
+    from repro.models.attention import SDABlock
 
     # Persistent: weights + double-buffered hidden states + Q/K/V.
     activations = 5 * batch * seq_len * config.d_model * dtype.nbytes
-
-    worst_attention = 0
-    worst_intermediates = 0
-    for layer in range(config.num_layers):
-        matrix = _attention_matrix_bytes(config, seq_len, batch, dtype, layer)
-        spec = config.layer_attention(layer)
-        layout = spec.layout(seq_len)
-        if layout is None:
-            n_sv = seq_len // t
-            rows = batch * heads * seq_len
-        else:
-            n_sv = 1  # per-block sub-vectors: one per block row line
-            rows = batch * heads * layout.nnz_blocks * layout.block_size
-        stats = 3 * rows * (n_sv if layout is None else 1) * INTERMEDIATE_BYTES
-
-        if plan is AttentionPlan.RECOMPOSED:
-            attention, intermediates = matrix, stats
-        elif plan.uses_decomposition:
-            # X (or X') and Y coexist during GS, plus the statistics.
-            attention, intermediates = 2 * matrix, stats
-        else:
-            attention, intermediates = 2 * matrix, 0
-        worst_attention = max(worst_attention, attention)
-        worst_intermediates = max(worst_intermediates, intermediates)
-
+    attention = intermediates = 0
+    for spec, _ in config.unique_layer_specs():
+        graph = SDABlock(batch=batch, num_heads=config.num_heads,
+                         seq_len=seq_len, d_head=config.d_head, spec=spec,
+                         plan=plan, dtype=dtype, t=t).graph
+        attention = max(attention, graph.peak_live_bytes(MATRIX_BUFFERS))
+        intermediates = max(intermediates,
+                            graph.peak_live_bytes(STAT_BUFFERS))
     return MemoryFootprint(
         weights=weight_bytes(config, dtype),
         activations=activations,
-        attention=worst_attention,
-        intermediates=worst_intermediates,
+        attention=attention,
+        intermediates=intermediates,
     )

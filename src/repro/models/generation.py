@@ -20,24 +20,25 @@ layer per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.common.dtypes import DType
 from repro.common.errors import ConfigError
 from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
+from repro.core.recompose import (
+    AttentionContext,
+    apply_plan,
+    build_attention_graph,
+)
 from repro.gpu.device import Device
 from repro.gpu.profiler import Profile
+from repro.gpu.simcache import MISSING, step_cache
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.kernels.base import CATEGORY, ceil_div
-from repro.kernels.decomposed import (
-    GlobalScaleKernel,
-    InterReductionKernel,
-    LocalSoftmaxKernel,
-)
 from repro.kernels.elementwise import AddBiasGeluKernel, LayerNormKernel, \
     ResidualAddKernel
-from repro.kernels.fused import FusedGSMatMulKernel, FusedMatMulLSKernel
 from repro.kernels.matmul import MatMulKernel
 from repro.kernels.softmax import RowSoftmaxKernel
 from repro.models.config import AttentionKind, ModelConfig, get_model
@@ -77,83 +78,58 @@ def attention_step_kernels(
     pipeline over ``H / tp_shards`` heads (the collectives are charged
     separately by the caller).
 
-    Plan-aware for the rectangular chunked-prefill shapes
-    (``m_tokens > 1``): the decomposition plans replace the monolithic
-    softmax with LS/IR/GS (fused per the plan), padding the row length
-    up to a whole number of ``t``-sized sub-vectors.  Decode steps
-    (``m_tokens = 1``) always use the monolithic row softmax — a
-    ``1 x kv_len`` row is far too small for recomposition to matter,
-    and that honesty is the point of the decode model.  Local-causal
-    layers attend to a fixed window, short enough that they also keep
-    the monolithic kernel under every plan.
+    The step is the same base graph as the SDA block, rewritten by the
+    plan's passes (:func:`~repro.core.recompose.apply_plan`), with the
+    step's own tiles and ``{prefix}_*`` kernel names.  The
+    decomposition plans pad the row length up to a whole number of
+    ``t``-sized sub-vectors.  Decode steps (``m_tokens = 1``) keep the
+    monolithic row softmax under every plan — a ``1 x kv_len`` row is
+    far too small for recomposition to matter, and that honesty is
+    the point of the decode model.  Local-causal layers attend to a
+    fixed window, short enough that they also keep it.  A chunked
+    prefill step (``m_tokens > 1``) whose plan cannot run the
+    rectangular shape raises that plan's :class:`PlanError`.
     """
     plan = AttentionPlan.from_name(plan)
     _check_tp_shards(model, tp_shards)
-    heads, d_head = model.num_heads // tp_shards, model.d_head
     spec = model.layer_attention(layer)
-    if spec.kind is AttentionKind.LOCAL_CAUSAL:
-        attend_len = min(kv_len, spec.window + m_tokens - 1)
-        windowed = True
-    else:
-        attend_len = kv_len
-        windowed = False
-    m = m_tokens
-    bh = batch * heads
-    tile_m = min(128, max(1, m))
-    decompose = (plan.uses_decomposition and m > 1 and not windowed)
+    windowed = spec.kind is AttentionKind.LOCAL_CAUSAL
+    attend_len = (min(kv_len, spec.window + m_tokens - 1) if windowed
+                  else kv_len)
+    if m_tokens == 1 or windowed:
+        plan = AttentionPlan.BASELINE
     # A row decomposes into whole sub-vectors; ragged tails are padded.
-    n_attend = ceil_div(attend_len, t) * t if decompose else attend_len
-    n_sv = n_attend // t
+    if plan.uses_decomposition:
+        attend_len = ceil_div(attend_len, t) * t
+    key = (batch * model.num_heads // tp_shards, m_tokens, attend_len,
+           model.d_head, spec.is_causal, dtype, plan, t, prefix)
+    kernels = step_cache.get(key, MISSING)
+    if kernels is MISSING:
+        kernels = _step_pipeline(*key)
+        step_cache.put(key, kernels)
+    return list(kernels)
 
-    def qk():
-        return MatMulKernel(batch=bh, m=m, n=n_attend, k=d_head,
-                            dtype=dtype, tile_m=tile_m, tile_n=128,
-                            tile_k=min(64, d_head),
-                            name=f"{prefix}_qk_matmul",
-                            category=CATEGORY.MATMUL)
 
-    def av():
-        return MatMulKernel(batch=bh, m=m, n=d_head, k=n_attend,
-                            dtype=dtype, tile_m=tile_m, tile_n=64,
-                            tile_k=64, name=f"{prefix}_av_matmul",
-                            category=CATEGORY.MATMUL)
-
-    if not decompose:
-        return [qk(),
-                RowSoftmaxKernel(rows=bh * m, length=n_attend, dtype=dtype,
-                                 name=f"{prefix}_softmax"),
-                av()]
-
-    def fused_qk_ls():
-        return FusedMatMulLSKernel(batch=bh, m=m, n=n_attend, k=d_head,
-                                   t=t, dtype=dtype,
-                                   name=f"{prefix}_qk_ls_fused")
-
-    def ls():
-        return LocalSoftmaxKernel(num_subvectors=bh * m * n_sv, t=t,
-                                  dtype=dtype, name=f"{prefix}_ls")
-
-    def ir():
-        return InterReductionKernel(rows=bh * m, mean_subvectors=n_sv,
-                                    name=f"{prefix}_ir")
-
-    def gs():
-        return GlobalScaleKernel(num_subvectors=bh * m * n_sv, t=t,
-                                 dtype=dtype, name=f"{prefix}_gs")
-
-    def fused_gs_av():
-        return FusedGSMatMulKernel(batch=bh, m=m, n=d_head, k=n_attend,
-                                   t=t, dtype=dtype,
-                                   name=f"{prefix}_gs_av_fused")
-
-    if plan is AttentionPlan.RECOMPOSED:
-        return [fused_qk_ls(), ir(), fused_gs_av()]
-    if plan is AttentionPlan.DECOMPOSED:
-        return [qk(), ls(), ir(), gs(), av()]
-    if plan is AttentionPlan.FUSED_LS_ONLY:
-        return [fused_qk_ls(), ir(), gs(), av()]
-    # FUSED_GS_ONLY
-    return [qk(), ls(), ir(), fused_gs_av()]
+def _step_pipeline(bh: int, m: int, n: int, d_head: int, causal: bool,
+                   dtype: DType, plan: AttentionPlan, t: int,
+                   prefix: str) -> tuple:
+    """The kernels of ``plan``'s step graph: ``m`` query rows against
+    ``n`` keys over ``bh`` batch-heads (memoized in
+    :data:`~repro.gpu.simcache.step_cache`)."""
+    tile_m = min(128, max(1, m))
+    graph = build_attention_graph(
+        MatMulKernel(batch=bh, m=m, n=n, k=d_head, dtype=dtype,
+                     tile_m=tile_m, tile_n=128, tile_k=min(64, d_head),
+                     name=f"{prefix}_qk_matmul", category=CATEGORY.MATMUL),
+        RowSoftmaxKernel(rows=bh * m, length=n, dtype=dtype,
+                         name=f"{prefix}_softmax"),
+        MatMulKernel(batch=bh, m=m, n=d_head, k=n, dtype=dtype,
+                     tile_m=tile_m, tile_n=64, tile_k=64,
+                     name=f"{prefix}_av_matmul", category=CATEGORY.MATMUL),
+    )
+    apply_plan(graph, AttentionContext(
+        plan, t=t, scale=1.0 / math.sqrt(d_head), causal=causal))
+    return tuple(node.kernel for node in graph.nodes)
 
 
 def layer_step_kernels(

@@ -73,7 +73,7 @@ class BlockSparseLayout:
     @property
     def nnz_blocks(self) -> int:
         """Total nonzero blocks."""
-        return int(self.mask.sum())
+        return len(self.block_rows)
 
     @property
     def density(self) -> float:

@@ -22,6 +22,7 @@ from repro.verify.registry import OracleRegistry
 HOOK_MODULES = (
     "repro.core.online",
     "repro.core.decomposition",
+    "repro.core.recompose",
     "repro.kernels.softmax",
     "repro.kernels.decomposed",
     "repro.kernels.flash",

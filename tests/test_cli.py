@@ -86,6 +86,26 @@ class TestCLI:
         assert "attention (GB)" in out
         assert "sdf" in out
 
+    def test_footprint_records_plans_the_shape_cannot_run(self, capsys):
+        """T=64 does not divide L=1000: sd/sdf get an error entry and
+        the baseline row is still reported."""
+        from repro.models.config import get_model
+        from repro.models.footprint import inference_footprint
+
+        doc = json.loads(run_cli(capsys, "footprint", "--model",
+                                 "bert-large", "--seq-len", "1000",
+                                 "--json"))
+        message = "attention row length 1000 not divisible by T=64"
+        assert doc["plans"]["sd"] == doc["plans"]["sdf"] == {
+            "error": message}
+        baseline = inference_footprint(get_model("bert-large"),
+                                       seq_len=1000)
+        assert doc["plans"]["baseline"]["total_bytes"] == baseline.total
+        text = run_cli(capsys, "footprint", "--model", "bert-large",
+                       "--seq-len", "1000")
+        assert f"({message})" in text
+        assert text.splitlines()[2].startswith("baseline | 0.60")
+
     def test_roofline(self, capsys):
         out = run_cli(capsys, "roofline", "--seq-len", "1024")
         assert "machine balance" in out
@@ -236,3 +256,29 @@ class TestCLIHelp:
             main(["--help"])
         assert excinfo.value.code == 0
         assert "serve-sim" in capsys.readouterr().out
+
+
+class TestUserErrors:
+    """Library errors exit 2 with one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        # Plan legality: the fully fused kernel has no causal mask.
+        (["simulate", "--model", "gpt-neo-1.3b", "--plan", "fused-mha"],
+         "error: the FULLY_FUSED plan does not support causal masks\n"),
+        # Shape: the decomposition needs whole T-sized sub-vectors.
+        (["simulate", "--model", "bert-large", "--plan", "sd",
+          "--seq-len", "4000"],
+         "error: attention row length 4000 not divisible by T=64\n"),
+    ])
+    def test_one_line_error_and_exit_code(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_launch_failure_is_one_line(self, capsys):
+        assert main(["simulate", "--model", "bert-large", "--plan",
+                     "fused-mha", "--seq-len", "8192"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fully fused MHA needs")
+        assert err.count("\n") == 1

@@ -253,15 +253,18 @@ class TestPlanFileFlag:
         winner = self.winner(plan_file)
         assert list(json.loads(out)["plans"]) == [winner["plan"]]
 
-    def test_corrupted_plan_file_raises_typed_error(self, capsys,
-                                                    tmp_path):
-        from repro.common.errors import ArtifactError
-
+    def test_corrupted_plan_file_is_a_one_line_error(self, capsys,
+                                                     tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ArtifactError):
-            main(["serve-sim", "--rate", "2", "--duration", "3",
-                  "--plan-file", str(bad), "--json"])
+        code = main(["serve-sim", "--rate", "2", "--duration", "3",
+                     "--plan-file", str(bad), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "JSON" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestClusterAcceptance:

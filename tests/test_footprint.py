@@ -82,3 +82,53 @@ class TestAttentionFootprint:
         fp = inference_footprint(BERT_LARGE, seq_len=1024)
         assert fp.total == (fp.weights + fp.activations + fp.attention
                             + fp.intermediates)
+
+
+class TestPlanGraphFootprint:
+    """Attention state is read off each plan's kernel graph."""
+
+    # (attention, intermediates) bytes at L=4096, batch 1, T=64, as the
+    # per-plan formulas gave them before the footprint read the graph.
+    PINNED = {
+        "bert-large": {
+            "baseline": (1073741824, 0),
+            "sd": (1073741824, 50331648),
+            "sdf": (536870912, 50331648),
+            "sdf-ls-only": (1073741824, 50331648),
+            "sdf-gs-only": (1073741824, 50331648),
+            "online": (1073741824, 0),
+            "turbo": (1073741824, 0),
+        },
+        "bigbird-large": {
+            "baseline": (159383552, 0),
+            "sd": (159383552, 7471104),
+            "sdf": (79691776, 7471104),
+            "sdf-ls-only": (159383552, 7471104),
+            "sdf-gs-only": (159383552, 7471104),
+        },
+    }
+
+    @pytest.mark.parametrize("plan", ["flash", "fused-mha"])
+    def test_fused_attention_never_holds_the_matrix(self, plan):
+        fp = inference_footprint(BERT_LARGE, seq_len=4096, plan=plan)
+        assert fp.attention == 0
+        assert fp.intermediates == 0
+        assert inference_footprint(BIGBIRD_LARGE, seq_len=4096,
+                                   plan="flash").attention == 0
+
+    @pytest.mark.parametrize("model", sorted(PINNED))
+    def test_other_plans_unchanged(self, model):
+        from repro.models import get_model
+
+        config = get_model(model)
+        for plan, expected in self.PINNED[model].items():
+            fp = inference_footprint(config, seq_len=4096, plan=plan)
+            assert (fp.attention, fp.intermediates) == expected, plan
+
+    def test_infeasible_plan_raises_its_plan_error(self):
+        from repro.common import PlanError
+
+        with pytest.raises(PlanError, match="only implemented for dense"):
+            inference_footprint(BIGBIRD_LARGE, seq_len=4096, plan="online")
+        with pytest.raises(PlanError, match="causal"):
+            inference_footprint(GPT_NEO_1_3B, seq_len=2048, plan="fused-mha")

@@ -109,6 +109,36 @@ class TestChunkedPrefill:
         ratio = chunked.prefill_time / whole.prefill_time
         assert 0.5 < ratio < 2.5
 
+    def test_online_chunked_prefill_prices_its_own_softmax(self):
+        """A chunked-prefill step gets its plan's passes: the online
+        plan's global-layer steps launch the online softmax (decode
+        steps and local windows keep the monolithic kernel)."""
+        result = GenerationSession(GPT_NEO_1_3B, plan="online",
+                                   prompt_len=2048, generated_tokens=1,
+                                   prefill_chunk=512).simulate()
+        names = [r.name for r in result.prefill.profile]
+        assert names.count("online_softmax") == 4 * 12
+        assert names.count("prefill_softmax") == 4 * 12
+        decode = [r.name for r in result.decode_profile]
+        assert "online_softmax" not in decode
+
+    @pytest.mark.parametrize("plan,message", [
+        ("flash", "FLASH plan does not support cross-attention"),
+        ("fused-mha", "FULLY_FUSED plan does not support causal masks"),
+    ])
+    def test_fused_block_plans_reject_rectangular_steps(self, plan,
+                                                        message):
+        """The fused-block kernels cannot run a chunk against a longer
+        cache (nor a causal one, for fused MHA): the step raises the
+        plan's PlanError instead of silently pricing the baseline."""
+        from repro.common import PlanError
+
+        session = GenerationSession(GPT_NEO_1_3B, plan=plan,
+                                    prompt_len=2048, generated_tokens=1,
+                                    prefill_chunk=512)
+        with pytest.raises(PlanError, match=message):
+            session.simulate()
+
     def test_chunking_bounds_attention_memory(self):
         """The rectangular C x kv attention matrix is the peak; it is
         far smaller than the single-shot L x L matrix."""

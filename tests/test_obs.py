@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.common.errors import TraceError
+from repro.core.plansource import PlanSource
 from repro.gpu import simcache
 from repro.obs import (
     NULL_TRACER,
@@ -324,7 +325,8 @@ class TestTracedCluster:
                     prompt_len=512, output_len=96)
             for i in range(5)
         ]
-        sim = ServingSimulator("bert-large", gpu, plan="sdf",
+        sim = ServingSimulator("bert-large", gpu,
+                               plan=PlanSource.of("sdf"),
                                requests=requests, max_batch=8)
         tracer = Tracer()
         with tracing(tracer):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.common.dtypes import DType
 from repro.common.errors import ConfigError, ServingError
+from repro.core.plansource import PlanSource
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
 from repro.models.footprint import weight_bytes
@@ -300,7 +301,8 @@ class TestSimulator:
         requests = [Request(request_id=i, arrival_time=0.0,
                             prompt_len=512, output_len=96)
                     for i in range(5)]
-        report = ServingSimulator("bert-large", gpu, plan="sdf",
+        report = ServingSimulator("bert-large", gpu,
+                                  plan=PlanSource.of("sdf"),
                                   requests=requests, max_batch=8).run()
         assert report.finished == 5
         assert report.preemption_events > 0

@@ -16,6 +16,7 @@ import pytest
 
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
+from repro.core.plansource import PlanSource
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
 from repro.models.footprint import weight_bytes
@@ -47,7 +48,7 @@ def serving_doc(gpu="a100", engine="epoch", **kwargs):
         seed=defaults.pop("seed"),
         **{k: defaults.pop(k) for k in ("max_prompt", "mean_output")
            if k in defaults})
-    sim = ServingSimulator("bert-large", gpu, plan="sdf",
+    sim = ServingSimulator("bert-large", gpu, plan=PlanSource.of("sdf"),
                            workload=workload, engine=engine, **defaults)
     return json.dumps(sim.run().to_json(), sort_keys=True)
 

@@ -59,6 +59,34 @@ class TestKernelCache:
         assert time_kernel(spec, launch) == cached
 
 
+class TestStepCache:
+    @staticmethod
+    def _step():
+        from repro.models.config import get_model
+        from repro.models.generation import attention_step_kernels
+
+        return attention_step_kernels(get_model("gpt-neo-1.3b"), 0,
+                                      m_tokens=512, kv_len=2048, plan="sdf")
+
+    def test_hit_and_invalidate(self):
+        first = self._step()
+        assert self._step() == first
+        stats = simcache.stats()["step"]
+        assert (stats.hits, stats.misses) == (1, 1)
+        simcache.invalidate()
+        assert len(simcache.step_cache) == 0
+        assert simcache.stats()["step"].lookups == 0
+
+    def test_disabled_by_env(self, monkeypatch):
+        spec = get_gpu("A100")
+        cached = [k.launch_spec(spec) for k in self._step()]
+        simcache.invalidate()
+        monkeypatch.setenv(simcache.ENV_VAR, "0")
+        assert [k.launch_spec(spec) for k in self._step()] == cached
+        assert len(simcache.step_cache) == 0
+        assert simcache.stats()["step"].hits == 0
+
+
 class TestSimulateCache:
     def test_hit_returns_same_object(self):
         session = InferenceSession("bert-large", seq_len=512)

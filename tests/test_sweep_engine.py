@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.common.errors import ConfigError
+from repro.core.plansource import PlanSource
 from repro.gpu import simcache
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
@@ -82,7 +83,7 @@ def test_map_latencies():
 
 def test_driver_parallel_equals_serial():
     dataset = SyntheticTriviaQA(num_documents=48, seed=11)
-    kwargs = dict(max_seq_len=2048, plan="sdf")
+    kwargs = dict(max_seq_len=2048, plan=PlanSource.of("sdf"))
     serial = DatasetBenchmark(dataset, "longformer-large", jobs=1,
                               **kwargs).run()
     parallel = DatasetBenchmark(dataset, "longformer-large", jobs=3,

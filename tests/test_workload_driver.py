@@ -5,6 +5,7 @@ import pytest
 from repro.common import ShapeError
 from repro.common.errors import MetricsError
 from repro.core.plan import AttentionPlan
+from repro.core.plansource import PlanSource
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
 from repro.workloads import SyntheticTriviaQA
@@ -52,8 +53,10 @@ class TestDriver:
         assert p50 <= p95
 
     def test_recomposition_improves_corpus_mean(self, dataset):
-        base = DatasetBenchmark(dataset, "bert-large", plan="baseline").run()
-        sdf = DatasetBenchmark(dataset, "bert-large", plan="sdf").run()
+        base = DatasetBenchmark(dataset, "bert-large",
+                                plan=PlanSource.of("baseline")).run()
+        sdf = DatasetBenchmark(dataset, "bert-large",
+                               plan=PlanSource.of("sdf")).run()
         assert base.mean_latency / sdf.mean_latency > 1.1
 
     def test_sparse_model_buckets(self, dataset):
