@@ -91,20 +91,25 @@ verify-fuzz:
 	$(PYTHON) -m repro verify fuzz --cases 200 --seed 0 \
 		--artifact-dir verify-artifacts
 
-# Two-replica, TP=2 cluster simulation (see docs/cluster.md).
+# Two-replica, TP=2 cluster simulation compared against the committed
+# golden report (see docs/cluster.md).
 cluster-smoke:
 	$(PYTHON) -m repro cluster-sim --replicas 2 --tp 2 \
-		--policy least-outstanding --rate 4 --duration 5 --seed 0 --json
+		--policy least-outstanding --rate 4 --duration 5 --seed 0 \
+		--json > /tmp/cluster_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/cluster_smoke.json \
+		tests/golden/cluster_smoke.json
 
 # Bursty-arrival control-plane run with one injected replica death:
-# the fleet must recover without losing a request and the conservation
-# identity must hold (see docs/controlplane.md).
+# the fleet must recover without losing a request, the conservation
+# identity must hold, and the report must match the committed golden
+# (see docs/controlplane.md).
 controlplane-smoke:
 	$(PYTHON) -m repro controlplane-sim --arrival mmpp --rate 2 \
 		--burst-rate 10 --duration 8 --replicas 2 --death 1.5 \
-		--cold-start 0.1 --seed 0 --json \
-	| $(PYTHON) -c "import json, sys; \
-		doc = json.load(sys.stdin); \
+		--cold-start 0.1 --seed 0 --json > /tmp/controlplane_smoke.json
+	$(PYTHON) -c "import json, sys; \
+		doc = json.load(open('/tmp/controlplane_smoke.json')); \
 		assert doc['kind'] == 'controlplane-report', doc['kind']; \
 		plan = doc['plans']['sdf']; \
 		section = plan['controlplane']; \
@@ -118,6 +123,8 @@ controlplane-smoke:
 		print('controlplane-smoke ok:', plan['finished'], 'finished,', \
 			deaths[0]['requeued'], 'requeued, recovered in', \
 			round(deaths[0]['recovery_s'], 3), 's')"
+	$(PYTHON) tools/compare_golden.py /tmp/controlplane_smoke.json \
+		tests/golden/controlplane_smoke.json
 
 # Traced serving simulation: the exported Chrome trace must parse and
 # its spans must strictly nest (see docs/observability.md).

@@ -67,7 +67,7 @@ from repro.analysis import (
     render_stacked_bars,
     render_table,
 )
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.common.results import result_dict
 from repro.common.scenario import (
     add_sharding_args,
@@ -115,6 +115,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="A100 | RTX 3090 | T4 | H100")
     parser.add_argument("--seq-len", type=int, default=4096)
     parser.add_argument("--batch", type=int, default=1)
+
+
+def _int_list(flag: str, text: str) -> "list[int]":
+    """The comma-separated integers of ``flag``'s value; a bad item is
+    a :class:`~repro.common.errors.ConfigError` naming both."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ConfigError(
+                f"{flag}: {item!r} is not an integer") from None
+    return values
 
 
 def _resolve_model(args: argparse.Namespace):
@@ -215,7 +228,7 @@ def cmd_libraries(args: argparse.Namespace) -> str:
 def cmd_sweep(args: argparse.Namespace) -> str:
     from repro.workloads.sweep import SweepPoint, SweepRunner
 
-    values = [int(v) for v in args.values.split(",")]
+    values = _int_list("--values", args.values)
     points = []
     for value in values:
         kwargs = dict(seq_len=args.seq_len, batch=args.batch)
@@ -615,7 +628,7 @@ def cmd_approx_sweep(args: argparse.Namespace) -> str:
 
     models = [get_model(name.strip())
               for name in args.models.split(",") if name.strip()]
-    seq_lens = tuple(int(v) for v in args.seq_lens.split(","))
+    seq_lens = tuple(_int_list("--seq-lens", args.seq_lens))
     report = run_sweep(
         gpu=get_gpu(args.gpu),
         models=models or None,

@@ -3,26 +3,26 @@
 Every replica produces the full single-node
 :class:`~repro.serving.metrics.PlanReport` plus the sharding numbers
 (GPU count, collective time, per-GPU weight bytes).  The cluster
-aggregate recomputes the latency percentiles over the *union* of
-finished requests — percentiles do not compose across shards, so
-averaging per-replica p99s would understate the tail — and sums the
-throughput counters over the cluster makespan.
+aggregate's request block comes from
+:func:`~repro.serving.metrics.request_block` over every replica's
+outcome: exact over the *union* of finished requests, folded in stream
+order — percentiles do not compose across shards, so averaging
+per-replica p99s would understate the tail — or, above the
+exact-percentile cutover, from the replicas' latency accumulators
+merged in replica-id order and flagged ``approx_percentiles``.
 
 Aggregation consumes :class:`~repro.cluster.replica.ReplicaOutcome`
 records, the same shape whether the replicas ran in one process (the
-serial router loop) or one per worker (the sharded mode), and always
-in replica-id order — so a sharded run's report is byte-identical to
-the serial run's regardless of worker count.  Outcomes that retained
-their request lists aggregate exactly; streaming outcomes (fleet-scale
-runs above the exact-percentile cutover) aggregate through merged
-latency accumulators and flag the report ``approx_percentiles``.
+serial router loop) or one per worker (the sharded mode), so a sharded
+run's report is byte-identical to the serial run's regardless of
+worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.serving.metrics import LatencyAccumulator, LatencyStats, PlanReport
+from repro.serving.metrics import LatencyStats, PlanReport, request_block
 
 
 @dataclass(frozen=True)
@@ -102,38 +102,24 @@ class ClusterPlanReport:
                       ) -> "ClusterPlanReport":
         """Aggregate per-replica outcome records, in replica-id order.
 
-        Every outcome must either retain its request list (exact
-        percentiles over the cluster-wide union) or stream (merged
-        accumulators, ``approx_percentiles``); mixing would silently
-        bias the union, so it is rejected.
+        Every outcome must either retain its request list or stream;
+        :func:`~repro.serving.metrics.request_block` rejects a mix.
         """
         outcomes = sorted(outcomes, key=lambda o: o.replica_id)
-        retained = [o.requests is not None for o in outcomes]
-        if any(retained) and not all(retained):
-            from repro.common.errors import ServingError
-
-            raise ServingError(
-                "cannot aggregate a mix of retained and streaming "
-                "replica outcomes"
-            )
-        exact = all(retained)
-
-        reports = [
+        reports = tuple(
             ReplicaReport(
                 replica_id=o.replica_id,
                 n_gpus=o.n_gpus,
-                report=o.report(plan),
+                report=PlanReport.from_aggregates(plan, o),
                 comm_time_s=o.comm_time,
                 weight_bytes_per_gpu=o.weight_bytes_per_gpu,
             )
             for o in outcomes
-        ]
-
+        )
         makespan = max((o.clock for o in outcomes), default=0.0)
-        span = makespan if makespan > 0 else 1.0
         busy = sum(o.busy for o in outcomes)
         comm = sum(o.comm_time for o in outcomes)
-        shared = dict(
+        return cls(
             plan=plan,
             policy=policy,
             makespan=makespan,
@@ -141,49 +127,9 @@ class ClusterPlanReport:
             prefill_tokens=sum(o.prefill_tokens for o in outcomes),
             comm_time_s=comm,
             comm_fraction=comm / busy if busy else 0.0,
-            per_replica=tuple(reports),
+            per_replica=reports,
             trace_summary=trace_summary,
-        )
-        if exact:
-            done = [r for o in outcomes for r in o.requests
-                    if r.finish_time is not None]
-            num_requests = sum(len(o.requests) for o in outcomes)
-            generated = sum(r.generated for r in done)
-            return cls(
-                num_requests=num_requests,
-                finished=len(done),
-                rejected=num_requests - len(done),
-                generated_tokens=generated,
-                ttft=LatencyStats.from_values([r.ttft for r in done]),
-                tpot=LatencyStats.from_values([r.tpot for r in done]),
-                e2e=LatencyStats.from_values([r.e2e_latency for r in done]),
-                throughput_tokens_per_s=generated / span,
-                throughput_requests_per_s=len(done) / span,
-                **shared,
-            )
-        # Streaming: percentiles do not compose, but the sketches
-        # merge; fold them in replica-id order so worker count never
-        # changes the result.
-        ttft, tpot, e2e = (LatencyAccumulator() for _ in range(3))
-        for o in outcomes:
-            ttft.merge(o.ttft)
-            tpot.merge(o.tpot)
-            e2e.merge(o.e2e)
-        finished = sum(o.finished for o in outcomes)
-        rejected = sum(o.rejected for o in outcomes)
-        generated = sum(o.generated_tokens for o in outcomes)
-        return cls(
-            num_requests=finished + rejected,
-            finished=finished,
-            rejected=rejected,
-            generated_tokens=generated,
-            ttft=ttft.stats(),
-            tpot=tpot.stats(),
-            e2e=e2e.stats(),
-            throughput_tokens_per_s=generated / span,
-            throughput_requests_per_s=finished / span,
-            approx_percentiles=True,
-            **shared,
+            **request_block(outcomes, makespan=makespan),
         )
 
     def to_dict(self) -> "dict[str, object]":

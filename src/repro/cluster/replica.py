@@ -31,7 +31,7 @@ from repro.models.footprint import weight_bytes
 from repro.obs.tracer import NULL_TRACER
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager, MemoryStats
-from repro.serving.metrics import LatencyAccumulator, PlanReport
+from repro.serving.metrics import LatencyAccumulator
 from repro.serving.requests import Request
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
@@ -43,8 +43,8 @@ class ReplicaOutcome:
     A plain, picklable record: the sharded cluster mode ships one per
     worker process back to the parent, and the serial loop produces
     the same shape, so both aggregate through one code path
-    (:meth:`repro.cluster.metrics.ClusterPlanReport.from_outcomes`).
-    ``requests`` is ``None`` when the replica ran in streaming mode.
+    (:func:`repro.serving.metrics.request_block`).  ``requests`` is
+    ``None`` when the replica ran in streaming mode.
     """
 
     replica_id: int
@@ -67,43 +67,6 @@ class ReplicaOutcome:
     tpot: LatencyAccumulator
     e2e: LatencyAccumulator
     requests: "list[Request] | None"
-
-    def report(self, plan: str, *,
-               trace_summary: "dict | None" = None) -> PlanReport:
-        """This replica's single-node serving report: exact over the
-        retained requests, or streamed from the accumulators."""
-        if self.requests is not None:
-            return PlanReport.from_run(
-                plan=plan,
-                requests=self.requests,
-                memory=self.memory,
-                hbm_bytes=self.hbm_bytes,
-                makespan=self.clock,
-                busy_time=self.busy,
-                steps=self.steps,
-                prefill_tokens=self.prefill_tokens,
-                preemption_events=self.preemption_events,
-                trace_summary=trace_summary,
-            )
-        return PlanReport.from_aggregates(
-            plan=plan,
-            num_requests=self.finished + self.rejected,
-            finished=self.finished,
-            rejected=self.rejected,
-            preemption_events=self.preemption_events,
-            preempted_requests=self.preempted_requests,
-            generated_tokens=self.generated_tokens,
-            ttft=self.ttft,
-            tpot=self.tpot,
-            e2e=self.e2e,
-            memory=self.memory,
-            hbm_bytes=self.hbm_bytes,
-            makespan=self.clock,
-            busy_time=self.busy,
-            steps=self.steps,
-            prefill_tokens=self.prefill_tokens,
-            trace_summary=trace_summary,
-        )
 
 
 class Replica:

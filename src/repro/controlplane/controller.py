@@ -32,6 +32,8 @@ summary.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.common.dtypes import DType
@@ -60,7 +62,7 @@ from repro.controlplane.report import (
 )
 from repro.controlplane.slo import DEFAULT_TIERS, SLOTier, assign_tiers
 from repro.serving.engine import ENGINE_MODES
-from repro.serving.metrics import LatencyStats
+from repro.serving.metrics import per_second, request_block
 from repro.serving.requests import (
     Request,
     RequestStatus,
@@ -80,6 +82,15 @@ ACTIVE = "active"        #: routable and serving
 DRAINING = "draining"    #: serving residents, no new routes
 DEAD = "dead"            #: killed by fault injection
 RETIRED = "retired"      #: drained and decommissioned
+
+
+class _Admitted(NamedTuple):
+    """Requests as the gateway admitted them, in stream order: a
+    retained outcome for :func:`~repro.serving.metrics.request_block`
+    (shed requests are neither finished nor rejected, so they count
+    only as arrivals)."""
+
+    requests: "list[Request]"
 
 
 class ControlledReplica(Replica):
@@ -534,13 +545,9 @@ class _FleetControl:
         tier_of = self.tier_of
         shed_ids = self.shed_ids
         arrived = self.arrived
-        finished = [r for r in arrived
-                    if r.request_id not in shed_ids
-                    and r.finish_time is not None]
-        rejected = sum(1 for r in arrived
-                       if r.request_id not in shed_ids
-                       and r.status == RequestStatus.REJECTED)
-        in_flight = len(arrived) - len(finished) - len(shed_ids) - rejected
+        block = request_block([_Admitted(arrived)], makespan=makespan)
+        in_flight = (len(arrived) - block["finished"] - len(shed_ids)
+                     - block["rejected"])
 
         faults = []
         for record in self.fault_log:
@@ -571,31 +578,21 @@ class _FleetControl:
         tiers = []
         for index, tier in enumerate(sim.tiers):
             ids = [r for r in arrived if int(tier_of[r.request_id]) == index]
-            tier_done = [r for r in ids
-                         if r.request_id not in shed_ids
-                         and r.finish_time is not None]
-            tier_shed = sum(1 for r in ids if r.request_id in shed_ids)
-            tier_rejected = sum(
-                1 for r in ids if r.request_id not in shed_ids
-                and r.status == RequestStatus.REJECTED)
-            attained = sum(1 for r in tier_done
-                           if tier.meets(ttft=r.ttft, tpot=r.tpot))
+            tier_block = request_block([_Admitted(ids)], makespan=makespan)
+            attained = sum(1 for r in ids if r.finish_time is not None
+                           and tier.meets(ttft=r.ttft, tpot=r.tpot))
             tiers.append(TierReport(
                 name=tier.name, share=tier.share,
                 ttft_target=tier.ttft_target,
                 tpot_target=tier.tpot_target,
                 attainment_target=tier.attainment_target,
-                arrived=len(ids), finished=len(tier_done),
-                shed=tier_shed, rejected=tier_rejected,
+                arrived=len(ids), finished=tier_block["finished"],
+                shed=sum(1 for r in ids if r.request_id in shed_ids),
+                rejected=tier_block["rejected"],
                 attained_requests=attained,
-                ttft=LatencyStats.from_values(
-                    [r.ttft for r in tier_done]),
-                e2e=LatencyStats.from_values(
-                    [r.e2e_latency for r in tier_done]),
+                ttft=tier_block["ttft"], e2e=tier_block["e2e"],
             ))
 
-        generated = sum(r.generated for r in finished)
-        span = makespan if makespan > 0 else 1.0
         trace_summary = None
         if self.tracer.enabled:
             self.tracer.set_clock(makespan)
@@ -605,18 +602,17 @@ class _FleetControl:
             plan=self.plan,
             policy=sim.policy_name,
             arrived=len(arrived),
-            finished=len(finished),
+            finished=block["finished"],
             shed=len(shed_ids),
-            rejected=rejected,
+            rejected=block["rejected"],
             in_flight=in_flight,
             makespan=makespan,
-            generated_tokens=generated,
-            throughput_tokens_per_s=generated / span,
-            ttft=LatencyStats.from_values([r.ttft for r in finished]),
-            tpot=LatencyStats.from_values([r.tpot for r in finished]),
-            e2e=LatencyStats.from_values(
-                [r.e2e_latency for r in finished]),
-            mean_replicas=self.area / span,
+            generated_tokens=block["generated_tokens"],
+            throughput_tokens_per_s=block["throughput_tokens_per_s"],
+            ttft=block["ttft"],
+            tpot=block["tpot"],
+            e2e=block["e2e"],
+            mean_replicas=per_second(self.area, makespan),
             peak_replicas=self.peak,
             replica_seconds=self.area,
             cold_starts=self.cold_starts,
@@ -704,9 +700,10 @@ def verification_oracles():
     *Static fleet*: with no autoscaler, faults, or shedding, the
     control plane is the cluster router plus bookkeeping, so every
     request's arrival, first-token, and finish times must equal a
-    cluster-sim run's under the same policy, exactly.  (Aggregate
-    means may differ in the last ulp: the two reports sum in different
-    orders.)
+    cluster-sim run's under the same policy, exactly — and so must the
+    reports' latency summaries, finished count, makespan, and token
+    throughput, which both fold through one aggregator in stream
+    order.
 
     Each run simulates full (small) scenarios, so both oracles gate
     themselves to deterministic slices of the serving family's cases
@@ -763,9 +760,10 @@ def verification_oracles():
             "violations": violations,
         }
 
-    def timelines(simulator, arrays, seed, knobs):
+    def observed(simulator, arrays, seed, knobs):
         """Rows of (id, arrival, first token, finish) for one run, read
-        off the requests the simulator materializes from ``arrays``."""
+        off the requests the simulator materializes from ``arrays``,
+        followed by the report fields both simulators share."""
         made = []
 
         class Recorded(RequestArrays):
@@ -775,11 +773,18 @@ def verification_oracles():
 
         recorded = Recorded(arrays.arrival_time, arrays.prompt_len,
                             arrays.output_len, arrays.prefix_group)
-        simulator("bert-large", "a100", **knobs, workload=SimpleNamespace(
-            request_arrays=lambda: recorded, seed=seed)).run()
-        return np.asarray(sorted(
-            (r.request_id, r.arrival_time, r.first_token_time,
-             r.finish_time) for r in made), dtype=np.float64)
+        report = simulator("bert-large", "a100", **knobs,
+                           workload=SimpleNamespace(
+                               request_arrays=lambda: recorded,
+                               seed=seed)).run()
+        rows = sorted((r.request_id, r.arrival_time, r.first_token_time,
+                       r.finish_time) for r in made)
+        fields = [value for stats in (report.ttft, report.tpot, report.e2e)
+                  for value in stats.to_json().values()]
+        fields += [report.finished, report.makespan,
+                   report.throughput_tokens_per_s]
+        return np.concatenate([np.asarray(rows, dtype=np.float64).ravel(),
+                               np.asarray(fields, dtype=np.float64)])
 
     def run_static_fleet(case):
         rng = np.random.default_rng((case.params["case_seed"], 0x57A7))
@@ -794,12 +799,19 @@ def verification_oracles():
             policy=str(rng.choice(sorted(POLICIES))),
             max_batch=int(rng.integers(2, 17)),
         )
-        return {
-            "actual": timelines(ControlPlaneSimulator, arrays, seed,
-                                knobs).ravel(),
-            "expected": timelines(ClusterSimulator, arrays, seed,
-                                  knobs).ravel(),
-        }
+        actual = observed(ControlPlaneSimulator, arrays, seed, knobs)
+        expected = observed(ClusterSimulator, arrays, seed, knobs)
+        # The contract compares in the case's storage dtype, which
+        # would absorb a last-ulp float64 difference in a mean.
+        violations = []
+        if not np.array_equal(actual, expected):
+            violations.append(Violation(
+                "float64_identical",
+                "timelines or report fields differ from cluster-sim's "
+                "in float64",
+            ))
+        return {"actual": actual, "expected": expected,
+                "violations": violations}
 
     yield OracleSpec(
         name="controlplane.static_fleet_equivalence",
@@ -808,7 +820,9 @@ def verification_oracles():
         contracts={_DType.FP32: EXACT, _DType.FP16: EXACT},
         description=(
             "without autoscaler, faults, or shedding, every request's "
-            "arrival, first-token, and finish times equal cluster-sim's"
+            "arrival, first-token, and finish times and the report's "
+            "latency, finished, makespan, and throughput equal "
+            "cluster-sim's"
         ),
         applies=lambda case: case.params["case_seed"] % 16 == 8,
     )

@@ -22,37 +22,10 @@ string/enum spellings keep working everywhere.
 from __future__ import annotations
 
 import enum
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 
 from repro.common.errors import PlanError
 from repro.core.plan import AttentionPlan
-
-#: Root of the installed ``repro`` package, for stack-walk attribution.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _external_stacklevel() -> int:
-    """Stacklevel of the nearest frame outside the ``repro`` package.
-
-    :func:`resolve_plan` is reached through a varying number of
-    internal wrappers (simulator constructors, the dataset driver, the
-    cluster router), so any fixed ``stacklevel`` blames the wrong file
-    for some call path — historically the deprecation warning pointed
-    at ``plansource.py`` itself.  Walking outward until the code object
-    leaves the package root pins the warning on the caller's own line.
-    """
-    level = 1
-    frame = sys._getframe(1)
-    while frame is not None:
-        filename = os.path.abspath(frame.f_code.co_filename)
-        if not filename.startswith(_PACKAGE_ROOT + os.sep):
-            return level
-        frame = frame.f_back
-        level += 1
-    return level
 
 
 class PlanSourceKind(enum.Enum):
@@ -161,23 +134,8 @@ def resolve_plan(
     batch: int = 1,
     t: int = 64,
     candidates=None,
-    deprecate: "str | None" = None,
 ) -> AttentionPlan:
-    """Resolve any plan spelling in one call — the single choke point.
-
-    ``deprecate`` names the calling API; when set and ``value`` is a
-    legacy bare string/enum (not a :class:`PlanSource`), a
-    :class:`DeprecationWarning` points callers at ``PlanSource`` while
-    the old signature keeps working.
-    """
-    if deprecate is not None and not isinstance(value, PlanSource):
-        warnings.warn(
-            f"passing plan={value!r} to {deprecate} as a bare "
-            f"string/enum is deprecated; pass "
-            f"repro.core.plansource.PlanSource.of({value!r}) instead",
-            DeprecationWarning,
-            stacklevel=_external_stacklevel(),
-        )
+    """Resolve any plan spelling in one call — the single choke point."""
     return PlanSource.of(value).resolve(
         model=model, gpu=gpu, seq_len=seq_len, batch=batch, t=t,
         candidates=candidates,

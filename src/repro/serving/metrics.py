@@ -21,17 +21,25 @@ byte-identical to every earlier release); above it the simulator stops
 retaining per-request latencies and the same summaries come from the
 streaming :class:`~repro.serving.sketch.QuantileSketch`, flagged
 ``approx_percentiles`` in the serialized envelope.
+
+Every report — serve-sim's, each cluster replica's, the cluster
+aggregate, the control plane's and each of its SLO tiers' — takes its
+request block (request counts, generated tokens, the TTFT/TPOT/E2E
+summaries, throughput) from one function, :func:`request_block`.
+Exact blocks fold finished requests in stream order, so two
+simulators that finish the same requests at the same times report
+bit-identical numbers however the requests were spread over replicas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from repro.common.errors import MetricsError
-from repro.serving.memory import MemoryStats
-from repro.serving.requests import Request
+from repro.common.errors import MetricsError, ServingError
+from repro.serving.requests import RequestStatus
 from repro.serving.sketch import QuantileSketch
 
 #: Finished-request count up to which reports compute percentiles
@@ -115,7 +123,7 @@ class LatencyAccumulator:
     Tracks the exact count and running sum (for the mean) next to a
     :class:`~repro.serving.sketch.QuantileSketch` (for the tail), so a
     million-request run never retains a per-request latency list.
-    Accumulators merge associatively; the cluster aggregator merges
+    Accumulators merge associatively; :func:`request_block` merges
     per-replica accumulators in replica-id order so sharded runs are
     deterministic across worker counts.
     """
@@ -139,9 +147,89 @@ class LatencyAccumulator:
         self.total += other.total
         self.sketch.merge(other.sketch)
 
-    def stats(self) -> LatencyStats:
-        """The sketch-backed summary of everything streamed so far."""
-        return LatencyStats.from_accumulator(self)
+
+def per_second(amount: float, makespan: float) -> float:
+    """``amount`` per second of ``makespan``; a run with no makespan
+    divides by one second, so its rates read as totals."""
+    return amount / (makespan if makespan > 0 else 1.0)
+
+
+def request_block(outcomes, *, makespan: float) -> "dict[str, object]":
+    """The request block every report shares, as constructor fields.
+
+    The one place finished requests become latency statistics.
+    ``outcomes`` are per-replica
+    :class:`~repro.cluster.replica.ReplicaOutcome` records, or any
+    object carrying the ``requests`` it retained:
+
+    - if every outcome retained its requests, the block is exact over
+      their union, folded in stream order (arrival time, ties by id),
+      so it does not depend on which replica served which request;
+    - if every outcome streamed (``requests is None``), the summaries
+      come from the outcomes' latency accumulators, merged in the
+      order given, and the block is flagged ``approx_percentiles``
+      (a single outcome's accumulators are summarized as they stand);
+    - a mix is rejected: it would silently bias the union.
+
+    Finished requests feed the latency summaries and the generated
+    tokens; ``rejected`` counts requests the scheduler refused, so a
+    request neither finished nor refused (shed, or still in flight)
+    counts only toward ``num_requests``.  Rates are
+    :func:`per_second` of ``makespan``.
+    """
+    retained = [o.requests for o in outcomes if o.requests is not None]
+    exact = len(retained) == len(outcomes)
+    if exact:
+        # Stream order, as :func:`~repro.serving.requests.request_stream`
+        # sorts: two stable sorts avoid building a key tuple per request.
+        requests = [r for group in retained for r in group]
+        requests.sort(key=attrgetter("request_id"))
+        requests.sort(key=attrgetter("arrival_time"))
+        done = [r for r in requests if r.finish_time is not None]
+        num_requests, finished = len(requests), len(done)
+        rejected = sum(1 for r in requests
+                       if r.status is RequestStatus.REJECTED)
+        generated = sum(r.generated for r in done)
+        # One latency list alive at a time: they are the largest
+        # transient allocation of a report.
+        ttft, tpot, e2e = (
+            LatencyStats.from_values([getattr(r, metric) for r in done])
+            for metric in ("ttft", "tpot", "e2e_latency"))
+    elif retained:
+        raise ServingError(
+            "cannot aggregate a mix of retained and streaming "
+            "replica outcomes"
+        )
+    else:
+        finished = sum(o.finished for o in outcomes)
+        rejected = sum(o.rejected for o in outcomes)
+        num_requests = finished + rejected
+        generated = sum(o.generated_tokens for o in outcomes)
+
+        def merged(metric: str) -> LatencyAccumulator:
+            # Merging into an empty accumulator recompresses the
+            # sketch, which can move a centroid by an ulp.
+            if len(outcomes) == 1:
+                return getattr(outcomes[0], metric)
+            acc = LatencyAccumulator()
+            for outcome in outcomes:
+                acc.merge(getattr(outcome, metric))
+            return acc
+
+        ttft, tpot, e2e = (LatencyStats.from_accumulator(merged(metric))
+                           for metric in ("ttft", "tpot", "e2e"))
+    return dict(
+        num_requests=num_requests,
+        finished=finished,
+        rejected=rejected,
+        generated_tokens=generated,
+        ttft=ttft,
+        tpot=tpot,
+        e2e=e2e,
+        throughput_tokens_per_s=per_second(generated, makespan),
+        throughput_requests_per_s=per_second(finished, makespan),
+        approx_percentiles=not exact,
+    )
 
 
 @dataclass(frozen=True)
@@ -180,107 +268,42 @@ class PlanReport:
     approx_percentiles: bool = False
 
     @classmethod
-    def from_run(
-        cls,
-        *,
-        plan: str,
-        requests: "list[Request]",
-        memory: MemoryStats,
-        hbm_bytes: int,
-        makespan: float,
-        busy_time: float,
-        steps: int,
-        prefill_tokens: int,
-        preemption_events: int,
-        trace_summary: "dict | None" = None,
-    ) -> "PlanReport":
-        """Aggregate per-request records into a report."""
-        done = [r for r in requests if r.finish_time is not None]
-        rejected = sum(1 for r in requests if r.finish_time is None)
-        generated = sum(r.generated for r in done)
-        span = makespan if makespan > 0 else 1.0
-        return cls(
-            plan=plan,
-            num_requests=len(requests),
-            finished=len(done),
-            rejected=rejected,
-            preemption_events=preemption_events,
-            preempted_requests=sum(1 for r in done if r.preemptions),
-            makespan=makespan,
-            busy_time=busy_time,
-            steps=steps,
-            generated_tokens=generated,
-            prefill_tokens=prefill_tokens,
-            ttft=LatencyStats.from_values([r.ttft for r in done]),
-            tpot=LatencyStats.from_values([r.tpot for r in done]),
-            e2e=LatencyStats.from_values([r.e2e_latency for r in done]),
-            throughput_tokens_per_s=generated / span,
-            throughput_requests_per_s=len(done) / span,
-            mean_step_tokens=(
-                (prefill_tokens + generated) / steps if steps else 0.0),
-            kv_peak_blocks=memory.peak_blocks,
-            kv_total_blocks=memory.total_blocks,
-            kv_peak_bytes=memory.peak_bytes,
-            kv_peak_fraction=memory.peak_bytes / hbm_bytes,
-            trace_summary=trace_summary,
-        )
+    def from_run(cls, plan: str, replica, *,
+                 trace_summary: "dict | None" = None) -> "PlanReport":
+        """The report of a finished
+        :class:`~repro.cluster.replica.Replica` (serve-sim's one
+        replica, after the drive loop drained)."""
+        return cls.from_aggregates(plan, replica.outcome(),
+                                   trace_summary=trace_summary)
 
     @classmethod
-    def from_aggregates(
-        cls,
-        *,
-        plan: str,
-        num_requests: int,
-        finished: int,
-        rejected: int,
-        preemption_events: int,
-        preempted_requests: int,
-        generated_tokens: int,
-        ttft: LatencyAccumulator,
-        tpot: LatencyAccumulator,
-        e2e: LatencyAccumulator,
-        memory: MemoryStats,
-        hbm_bytes: int,
-        makespan: float,
-        busy_time: float,
-        steps: int,
-        prefill_tokens: int,
-        trace_summary: "dict | None" = None,
-    ) -> "PlanReport":
-        """Build a report from streamed counters and accumulators.
-
-        The O(1)-memory path for runs above the exact-percentile
-        cutover: no per-request list exists, so the latency summaries
-        come from the sketches and the report is flagged
-        ``approx_percentiles``.
-        """
-        span = makespan if makespan > 0 else 1.0
+    def from_aggregates(cls, plan: str, outcome, *,
+                        trace_summary: "dict | None" = None,
+                        ) -> "PlanReport":
+        """One replica's report from its
+        :class:`~repro.cluster.replica.ReplicaOutcome`: the request
+        block from :func:`request_block`, everything else from the
+        replica's own counters."""
+        block = request_block([outcome], makespan=outcome.clock)
+        steps = outcome.steps
+        memory = outcome.memory
         return cls(
             plan=plan,
-            num_requests=num_requests,
-            finished=finished,
-            rejected=rejected,
-            preemption_events=preemption_events,
-            preempted_requests=preempted_requests,
-            makespan=makespan,
-            busy_time=busy_time,
+            preemption_events=outcome.preemption_events,
+            preempted_requests=outcome.preempted_requests,
+            makespan=outcome.clock,
+            busy_time=outcome.busy,
             steps=steps,
-            generated_tokens=generated_tokens,
-            prefill_tokens=prefill_tokens,
-            ttft=ttft.stats(),
-            tpot=tpot.stats(),
-            e2e=e2e.stats(),
-            throughput_tokens_per_s=generated_tokens / span,
-            throughput_requests_per_s=finished / span,
+            prefill_tokens=outcome.prefill_tokens,
             mean_step_tokens=(
-                (prefill_tokens + generated_tokens) / steps if steps
-                else 0.0),
+                (outcome.prefill_tokens + block["generated_tokens"]) / steps
+                if steps else 0.0),
             kv_peak_blocks=memory.peak_blocks,
             kv_total_blocks=memory.total_blocks,
             kv_peak_bytes=memory.peak_bytes,
-            kv_peak_fraction=memory.peak_bytes / hbm_bytes,
+            kv_peak_fraction=memory.peak_bytes / outcome.hbm_bytes,
             trace_summary=trace_summary,
-            approx_percentiles=True,
+            **block,
         )
 
     def to_json(self) -> "dict[str, object]":

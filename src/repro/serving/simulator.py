@@ -100,16 +100,13 @@ class ServingSimulator:
             )
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        # Resolved exactly once, here; legacy bare string/enum
-        # spellings keep working (with a DeprecationWarning pointing
-        # at PlanSource).
+        # Resolved exactly once, here, from any plan spelling.
         from repro.serving.costmodel import SUPPORTED_PLANS
 
         self.plan = resolve_plan(
             AttentionPlan.BASELINE if plan is None else plan,
             model=self.model, gpu=self.gpu, t=t,
             candidates=SUPPORTED_PLANS,
-            deprecate=None if plan is None else "ServingSimulator",
         )
         self.max_steps = max_steps
         self.engine = engine
@@ -150,8 +147,8 @@ class ServingSimulator:
                 process=f"{self.plan.value}:requests")
             trace_summary = tracer.summary(since=trace_start,
                                            include_metrics=False)
-        return replica.outcome().report(self.plan.value,
-                                        trace_summary=trace_summary)
+        return PlanReport.from_run(self.plan.value, replica,
+                                   trace_summary=trace_summary)
 
 
 def simulate_serving(

@@ -269,6 +269,11 @@ class TestUserErrors:
         (["simulate", "--model", "bert-large", "--plan", "sd",
           "--seq-len", "4000"],
          "error: attention row length 4000 not divisible by T=64\n"),
+        # Integer-list flags name the flag and the unparsable item.
+        (["sweep", "--values", "1024,abc"],
+         "error: --values: 'abc' is not an integer\n"),
+        (["approx-sweep", "--seq-lens", "256,x"],
+         "error: --seq-lens: 'x' is not an integer\n"),
     ])
     def test_one_line_error_and_exit_code(self, capsys, argv, message):
         assert main(argv) == 2

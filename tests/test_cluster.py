@@ -8,7 +8,9 @@ conservation, prefix colocation), and the report schema contract.
 
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -328,3 +330,90 @@ class TestClusterSimulator:
         assert plan["kind"] == "cluster-plan"
         for replica in plan["per_replica"]:
             assert replica["kind"] == "cluster-replica"
+
+
+class TestRequestBlock:
+    """The one aggregator every report's request block comes from."""
+
+    @staticmethod
+    def served(n=40, seed=0):
+        """``n`` finished requests with distinct, irregular latencies."""
+        from repro.serving.requests import RequestStatus
+
+        rng = np.random.default_rng(seed)
+        requests = []
+        for i, arrival in enumerate(np.cumsum(rng.exponential(0.1, n))):
+            request = Request(request_id=i, arrival_time=float(arrival),
+                              prompt_len=64, output_len=5)
+            request.first_token_time = request.arrival_time + float(
+                rng.uniform(0.01, 0.3))
+            request.finish_time = request.first_token_time + float(
+                rng.uniform(0.01, 0.2))
+            request.generated = 5
+            request.status = RequestStatus.FINISHED
+            requests.append(request)
+        return requests
+
+    def test_exact_block_is_independent_of_replica_split(self):
+        from repro.serving.metrics import request_block
+
+        requests = self.served()
+        whole = request_block([SimpleNamespace(requests=requests)],
+                              makespan=5.0)
+        for split in (3, 4):
+            shards = [SimpleNamespace(requests=requests[i::split][::-1])
+                      for i in range(split)]
+            assert request_block(shards, makespan=5.0) == whole
+        assert whole["finished"] == whole["num_requests"] == 40
+        assert whole["approx_percentiles"] is False
+
+    def test_mix_of_retained_and_streaming_is_rejected(self):
+        from repro.serving.metrics import request_block
+
+        with pytest.raises(ServingError, match="mix"):
+            request_block([SimpleNamespace(requests=self.served()),
+                           SimpleNamespace(requests=None)], makespan=1.0)
+
+    def test_zero_makespan_rates_are_totals(self):
+        from repro.serving.metrics import request_block
+
+        block = request_block([SimpleNamespace(requests=self.served(4))],
+                              makespan=0.0)
+        assert block["throughput_requests_per_s"] == 4
+        assert block["throughput_tokens_per_s"] == 20
+
+    def test_unserved_request_counts_only_as_arrival(self):
+        from repro.serving.metrics import request_block
+        from repro.serving.requests import RequestStatus
+
+        requests = self.served(3)
+        shed = Request(request_id=3, arrival_time=9.0, prompt_len=64,
+                       output_len=5)
+        refused = Request(request_id=4, arrival_time=9.5, prompt_len=64,
+                          output_len=5, status=RequestStatus.REJECTED)
+        block = request_block(
+            [SimpleNamespace(requests=requests + [shed, refused])],
+            makespan=10.0)
+        assert (block["num_requests"], block["finished"],
+                block["rejected"]) == (5, 3, 1)
+
+    def test_streaming_block_merges_accumulators(self):
+        from repro.serving.metrics import LatencyAccumulator, request_block
+
+        streams = []
+        for part in (self.served(seed=1), self.served(seed=2)):
+            ttft, tpot, e2e = (LatencyAccumulator() for _ in range(3))
+            for r in part:
+                ttft.add(r.ttft)
+                tpot.add(r.tpot)
+                e2e.add(r.e2e_latency)
+            streams.append(SimpleNamespace(
+                requests=None, finished=len(part), rejected=1,
+                generated_tokens=5 * len(part), ttft=ttft, tpot=tpot,
+                e2e=e2e))
+        block = request_block(streams, makespan=2.0)
+        assert block["approx_percentiles"] is True
+        assert (block["num_requests"], block["finished"],
+                block["rejected"]) == (82, 80, 2)
+        assert block["ttft"].mean == pytest.approx(np.mean(
+            [r.ttft for seed in (1, 2) for r in self.served(seed=seed)]))

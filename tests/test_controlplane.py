@@ -467,6 +467,23 @@ class TestControlLoop:
         assert plan.mean_replicas == pytest.approx(
             plan.replica_seconds / plan.makespan)
 
+    def test_static_fleet_reports_like_cluster_sim(self):
+        """Without autoscaler, faults, or shedding, the control plane
+        is the cluster router plus bookkeeping: both reports fold the
+        same finished requests in stream order, so every shared field
+        is bit-identical."""
+        from repro.cluster.router import ClusterSimulator
+
+        workload = ServingWorkload(rate=8.0, duration=20.0, seed=0)
+        knobs = dict(workload=workload, plan="sdf", replicas=2,
+                     policy="round-robin")
+        control = ControlPlaneSimulator("bert-large", "a100",
+                                        **knobs).run()
+        cluster = ClusterSimulator("bert-large", "a100", **knobs).run()
+        for field in ("ttft", "tpot", "e2e", "finished", "makespan",
+                      "throughput_tokens_per_s"):
+            assert getattr(control, field) == getattr(cluster, field), field
+
     def test_traced_run_matches_untraced(self, monkeypatch):
         """The controller reads its signals from replica state, not a
         tracer: an untraced run builds no Tracer at all, and tracing a

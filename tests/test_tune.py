@@ -213,47 +213,37 @@ class TestPlanSourceIntegration:
 
 
 class TestDeprecatedPlanArguments:
-    """Legacy bare plan= spellings keep working, with a warning."""
+    """The bare string/enum plan spellings are no longer deprecated:
+    every spelling resolves the same way, without warnings."""
 
-    def test_serving_simulator_warns_on_bare_plan(self):
-        from repro.serving.requests import Request
-        from repro.serving.simulator import ServingSimulator
-
-        requests = [Request(request_id=0, arrival_time=0.0,
-                            prompt_len=128, output_len=2)]
-        with pytest.warns(DeprecationWarning, match="PlanSource") as record:
-            sim = ServingSimulator("bert-large", "A100", plan="sdf",
-                                   requests=requests)
-        # The warning must point at the *caller's* line (this file),
-        # not at plansource.py internals — the stacklevel walks out of
-        # repro.core frames before attributing the warning.
-        assert record[0].filename.endswith("test_tune.py")
-        assert sim.plan.value == "sdf"
-        assert sim.run().finished == 1
-
-    def test_dataset_benchmark_warns_on_bare_plan(self):
-        from repro.workloads.driver import DatasetBenchmark
-        from repro.workloads.triviaqa import SyntheticTriviaQA
-
-        dataset = SyntheticTriviaQA(num_documents=4, seed=0)
-        with pytest.warns(DeprecationWarning, match="PlanSource"):
-            DatasetBenchmark(dataset, "bert-large", plan="sdf",
-                             max_seq_len=512, bucket=512)
-
-    def test_plan_source_spelling_does_not_warn(self, recwarn):
+    def test_every_plan_spelling_is_equivalent_and_silent(self):
         import warnings
 
+        from repro.core.plan import AttentionPlan
         from repro.core.plansource import PlanSource
         from repro.serving.requests import Request
         from repro.serving.simulator import ServingSimulator
+        from repro.workloads.driver import DatasetBenchmark
+        from repro.workloads.triviaqa import SyntheticTriviaQA
 
         requests = [Request(request_id=0, arrival_time=0.0,
                             prompt_len=128, output_len=2)]
+        dataset = SyntheticTriviaQA(num_documents=4, seed=0)
+        serving, datasets = [], []
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ServingSimulator("bert-large", "A100",
-                             plan=PlanSource.of("sdf"),
-                             requests=requests)
+            warnings.simplefilter("error")
+            for plan in ("sdf", AttentionPlan.RECOMPOSED, PlanSource.of("sdf")):
+                sim = ServingSimulator("bert-large", "A100", plan=plan,
+                                       requests=requests)
+                assert sim.plan is AttentionPlan.RECOMPOSED
+                serving.append(sim.run().to_dict())
+                bench = DatasetBenchmark(dataset, "bert-large", plan=plan,
+                                         max_seq_len=512, bucket=512)
+                assert bench.plan is AttentionPlan.RECOMPOSED
+                datasets.append(bench.run().bucket_latency)
+        assert serving[0] == serving[1] == serving[2]
+        assert serving[0]["finished"] == 1
+        assert datasets[0] == datasets[1] == datasets[2]
 
     def test_infeasible_sentinel_has_no_truth_value(self):
         from repro.core.autotune import INFEASIBLE
