@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
-	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
-	approx-smoke tune-smoke moe-smoke examples-smoke
+.PHONY: test test-fast verify verify-fuzz lint cluster-smoke \
+	controlplane-smoke trace-smoke approx-smoke tune-smoke moe-smoke \
+	examples-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,22 +65,6 @@ examples-smoke:
 		$(PYTHON) -W error::DeprecationWarning $$example >/dev/null \
 			|| exit 1; \
 	done
-
-bench:
-	$(PYTHON) benchmarks/bench_selfperf.py
-
-# Full-scale serving benchmark: 100k-request event-vs-epoch timing
-# (byte-identical reports required) plus the million-request sharded
-# cluster smoke; writes BENCH_serving.json (see docs/performance.md).
-bench-serving:
-	$(PYTHON) benchmarks/bench_serving.py
-
-# Small-N CI smoke of the same harness; at this scale the equivalence
-# check runs in exact-percentile mode, the strictest comparison.
-bench-serving-smoke:
-	$(PYTHON) benchmarks/bench_serving.py --requests 2000 \
-		--cluster-requests 4000 --jobs 2 \
-		--output /tmp/bench_serving_smoke.json
 
 verify:
 	$(PYTHON) -m repro verify

@@ -39,7 +39,10 @@ import numpy as np
 
 from repro.common.dtypes import DType
 from repro.common.results import APPROX_SWEEP_SCHEMA
+from repro.common.validation import require_positive
 from repro.core.decomposition import decomposed_softmax
+from repro.core.graph import KernelGraph
+from repro.core.recompose import decompose_softmax_pass
 from repro.gpu.costmodel import time_kernel
 from repro.gpu.specs import GPUSpec
 from repro.kernels.approx import (
@@ -48,11 +51,6 @@ from repro.kernels.approx import (
     FlashDAttentionKernel,
     baseline_softmax_counters,
     flash_softmax_counters,
-)
-from repro.kernels.decomposed import (
-    GlobalScaleKernel,
-    InterReductionKernel,
-    LocalSoftmaxKernel,
 )
 from repro.kernels.flash import FlashAttentionKernel
 from repro.kernels.softmax import RowSoftmaxKernel
@@ -239,30 +237,34 @@ def _layer_rows(model: ModelConfig, seq_len: int) -> int:
     return model.num_heads * seq_len
 
 
+#: The softmax kernel each sweep variant launches; SDF is the baseline
+#: kernel rewritten by the paper's decomposition pass.
+_SOFTMAX_KERNELS = {
+    "baseline": RowSoftmaxKernel,
+    "sdf": RowSoftmaxKernel,
+    "lut": ApproxRowSoftmaxKernel,
+    "baps": BAPSSoftmaxKernel,
+}
+
+
 def _softmax_time(variant: str, model: ModelConfig, seq_len: int,
                   dtype: DType, spec: GPUSpec) -> "tuple[float, float]":
     """``(time_s, dram_bytes)`` of one layer's softmax work."""
-    rows = _layer_rows(model, seq_len)
-    if variant == "baseline":
-        launches = [RowSoftmaxKernel(rows, seq_len, dtype=dtype)]
-    elif variant == "lut":
-        launches = [ApproxRowSoftmaxKernel(rows, seq_len, dtype=dtype)]
-    elif variant == "baps":
-        launches = [BAPSSoftmaxKernel(rows, seq_len, dtype=dtype)]
-    elif variant == "sdf":
-        n_sv = seq_len // _SDF_T
-        total_sv = rows * n_sv
-        launches = [
-            LocalSoftmaxKernel(total_sv, _SDF_T, dtype=dtype),
-            InterReductionKernel(rows, mean_subvectors=float(n_sv)),
-            GlobalScaleKernel(total_sv, _SDF_T, dtype=dtype),
-        ]
-    else:
+    if variant not in _SOFTMAX_KERNELS:
         raise ValueError(f"unknown softmax variant {variant!r}")
+    rows = _layer_rows(model, seq_len)
+    graph = KernelGraph()
+    matrix_bytes = rows * seq_len * dtype.nbytes
+    graph.add_buffer("X", matrix_bytes)
+    graph.add_buffer("Y", matrix_bytes)
+    graph.add_node(_SOFTMAX_KERNELS[variant](rows, seq_len, dtype=dtype),
+                   inputs=("X",), outputs=("Y",))
+    if variant == "sdf":
+        decompose_softmax_pass(graph, _SDF_T)
     time_s = 0.0
     dram = 0.0
-    for kernel in launches:
-        launch = kernel.launch_spec(spec)
+    for node in graph.nodes:
+        launch = node.kernel.launch_spec(spec)
         time_s += time_kernel(spec, launch).time
         dram += launch.dram_bytes
     return time_s, dram
@@ -353,6 +355,7 @@ def run_sweep(
     seed: int = 0,
 ) -> "dict[str, object]":
     """The full sweep: a ``repro.approx_sweep/v1`` report document."""
+    require_positive("cases", cases)
     if models is None:
         models = list(all_models())
     accuracy = measure_softmax_accuracy(dtype=dtype, cases=cases, seed=seed)

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
+from repro.common.validation import require_non_negative
 from repro.core.plan import AttentionPlan
 from repro.core.plansource import PlanSource, resolve_plan
 from repro.gpu.interconnect import NVLINK3, InterconnectSpec
@@ -203,6 +204,8 @@ class ControlPlaneSimulator:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
             )
+        if cold_start_s is not None:
+            require_non_negative("cold_start_s", cold_start_s)
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         from repro.serving.costmodel import SUPPORTED_PLANS

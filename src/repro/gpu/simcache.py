@@ -24,8 +24,8 @@ thesis (do the reduction once, reuse it everywhere):
 All caches expose hit/miss counters (:func:`stats`), explicit
 invalidation (:func:`invalidate`), and an escape hatch: set the
 environment variable ``REPRO_SIMCACHE=0`` to disable all caching and
-fall back to the pre-cache behaviour (used by ``bench_selfperf`` to
-measure the baseline path).
+fall back to the pre-cache behaviour, the uncached reference path the
+equivalence tests compare the cached results against.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ MISSING = object()
 def caching_enabled() -> bool:
     """Whether the simulation caches are active.
 
-    Read dynamically on every lookup so tests and benchmarks can flip
+    Read dynamically on every lookup so tests can flip
     ``REPRO_SIMCACHE`` without re-importing the library.
     """
     return os.environ.get(ENV_VAR, "1").strip().lower() not in _DISABLED_VALUES

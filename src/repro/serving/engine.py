@@ -99,8 +99,8 @@ class EpochEngine:
         ``scheduler.schedule``/``complete_step`` during a run.
     epoch:
         ``False`` pins the engine to the classic per-step event loop
-        (the pre-epoch execution model, kept for equivalence testing
-        and benchmarking).
+        (the pre-epoch execution model, kept as the reference path
+        for equivalence testing).
     on_step:
         Tracing callback ``(step, ts=..., dur=..., comm=...)`` invoked
         for every classic step while the tracer is enabled.  Traced

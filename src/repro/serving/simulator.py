@@ -14,8 +14,8 @@ it through the shared :func:`~repro.cluster.router.drive` loop.
 Stepping is delegated to :class:`~repro.serving.engine.EpochEngine`:
 by default pure-decode stretches advance in vectorized epochs that are
 bit-identical to the classic per-step loop, and ``engine="event"``
-pins the run to the classic loop (equivalence tests and benchmarking
-diff the two).  Above :data:`~repro.serving.metrics
+pins the run to the classic loop (the reference path the equivalence
+tests diff against).  Above :data:`~repro.serving.metrics
 .EXACT_PERCENTILE_CUTOVER` finished requests the simulator stops
 retaining per-request state and reports stream through O(1)-memory
 accumulators instead (``approx_percentiles`` in the output); below it

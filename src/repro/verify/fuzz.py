@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.errors import ConfigError
+from repro.common.validation import require_positive
 from repro.verify.cases import (
     Case,
     build_case,
@@ -307,6 +309,7 @@ def fuzz_family(
     max_failures: int = 10,
 ) -> FuzzReport:
     """Fuzz every oracle of ``family`` with ``cases`` seeded cases."""
+    require_positive("cases", cases)
     if registry is None:
         from repro.verify.oracles import default_registry
 
@@ -366,7 +369,14 @@ def replay_artifact(path: "str | pathlib.Path",
         from repro.verify.oracles import default_registry
 
         registry = default_registry()
-    document = json.loads(pathlib.Path(path).read_text())
+    try:
+        document = json.loads(pathlib.Path(path).read_text())
+    except OSError as error:
+        raise ConfigError(
+            f"cannot read artifact {path}: {error.strerror}") from error
+    except ValueError as error:
+        raise ConfigError(
+            f"artifact {path} is not valid JSON: {error}") from error
     oracle = registry.get(document["oracle"])
     case = build_case(document["family"], document["params"])
     return run_case(oracle, case)

@@ -274,6 +274,23 @@ class TestUserErrors:
          "error: --values: 'abc' is not an integer\n"),
         (["approx-sweep", "--seq-lens", "256,x"],
          "error: --seq-lens: 'x' is not an integer\n"),
+        # SDF's decomposition pass needs whole T-sized sub-vectors.
+        (["approx-sweep", "--models", "bert-large", "--seq-lens", "100",
+          "--cases", "1"],
+         "error: softmax row length 100 not divisible by T=64\n"),
+        # Zero case counts would report on nothing.
+        (["approx-sweep", "--cases", "0"],
+         "error: cases must be positive, got 0\n"),
+        (["verify", "fuzz", "--cases", "0"],
+         "error: cases must be positive, got 0\n"),
+        (["verify", "fuzz", "--family", "nope"],
+         "error: unknown family 'nope'; choose from softmax, attention, "
+         "block_sparse, serving\n"),
+        (["verify", "replay", "no-such-dir/artifact.json"],
+         "error: cannot read artifact no-such-dir/artifact.json: "
+         "No such file or directory\n"),
+        (["controlplane-sim", "--cold-start", "-1"],
+         "error: cold_start_s must be non-negative, got -1.0\n"),
     ])
     def test_one_line_error_and_exit_code(self, capsys, argv, message):
         assert main(argv) == 2

@@ -591,3 +591,14 @@ class TestReportContract:
             AutoscalerConfig(min_replicas=3, max_replicas=2)
         with pytest.raises(ServingError):
             AutoscalerConfig(high_watermark=10.0, low_watermark=20.0)
+
+    def test_rejects_negative_cold_start_without_autoscaler(self):
+        # A negative boot delay would bring a replacement up before the
+        # death it replaces; the check must not depend on --autoscale.
+        from repro.common.errors import ConfigError
+
+        workload = ServingWorkload(rate=1.0, duration=2.0, seed=0)
+        with pytest.raises(ConfigError, match="cold_start_s"):
+            ControlPlaneSimulator(
+                "bert-large", "a100", workload=workload,
+                faults=FailureSchedule(deaths=(0.5,)), cold_start_s=-1.0)

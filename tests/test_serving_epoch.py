@@ -40,7 +40,7 @@ def tiny_gpu(model_name="bert-large", blocks=24, block_tokens=64,
     return dataclasses.replace(get_gpu("a100"), hbm_bytes=hbm)
 
 
-def serving_doc(gpu="a100", engine="epoch", **kwargs):
+def serving_doc(gpu="a100", engine="epoch", model="bert-large", **kwargs):
     defaults = dict(rate=4.0, duration=8.0, seed=7)
     defaults.update(kwargs)
     workload = ServingWorkload(
@@ -48,7 +48,7 @@ def serving_doc(gpu="a100", engine="epoch", **kwargs):
         seed=defaults.pop("seed"),
         **{k: defaults.pop(k) for k in ("max_prompt", "mean_output")
            if k in defaults})
-    sim = ServingSimulator("bert-large", gpu, plan=PlanSource.of("sdf"),
+    sim = ServingSimulator(model, gpu, plan=PlanSource.of("sdf"),
                            workload=workload, engine=engine, **defaults)
     return json.dumps(sim.run().to_json(), sort_keys=True)
 
@@ -68,11 +68,20 @@ class TestServingEquivalence:
     def test_small_stream_byte_identical(self):
         assert serving_doc(engine="event") == serving_doc(engine="epoch")
 
-    def test_decode_heavy_stream_byte_identical(self):
+    @pytest.mark.parametrize("model,kwargs", [
+        pytest.param("bert-large",
+                     dict(rate=1.0, duration=30.0, mean_output=256),
+                     id="bert-large"),
+        # A ~500-request decoder stream: 512-token prompts, 768-token
+        # mean outputs, ~106k steps, nearly all of them pure decode.
+        pytest.param("gpt-neo-1.3b",
+                     dict(rate=0.4, duration=1250.0, mean_output=768),
+                     id="gpt-neo-1.3b"),
+    ])
+    def test_decode_heavy_stream_byte_identical(self, model, kwargs):
         # Long outputs, short prompts: the regime where epochs batch
         # hundreds of pure-decode steps.
-        kwargs = dict(rate=1.0, duration=30.0, max_prompt=512,
-                      mean_output=256)
+        kwargs = dict(kwargs, model=model, max_prompt=512)
         assert serving_doc(engine="event", **kwargs) \
             == serving_doc(engine="epoch", **kwargs)
 

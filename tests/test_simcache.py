@@ -191,3 +191,44 @@ class TestStats:
 
     def test_empty_cache_rate_zero(self):
         assert simcache.stats()["simulate"].hit_rate == 0.0
+
+
+class TestWorkloadEquivalence:
+    """Whole workloads agree to the last ulp with the caches off
+    (serial) and on (cold then warm, fanned across workers)."""
+
+    @staticmethod
+    def _fig9a_sweep(jobs):
+        from repro.models import all_models
+        from repro.workloads import SweepPoint, SweepRunner
+
+        points = [
+            SweepPoint.make(model.name, plan=plan, seq_len=seq_len)
+            for model in all_models()
+            for seq_len in (512, 1024)
+            for plan in ("baseline", "sdf")
+        ]
+        return [r.total_time for r in SweepRunner(jobs=jobs).run(points)]
+
+    @staticmethod
+    def _driver(jobs):
+        from repro.core.plansource import PlanSource
+        from repro.workloads import DatasetBenchmark, SyntheticTriviaQA
+
+        report = DatasetBenchmark(
+            SyntheticTriviaQA(num_documents=16, seed=7), "bigbird-large",
+            plan=PlanSource.of("sdf"), max_seq_len=1024, jobs=jobs,
+        ).run()
+        return [report.bucket_latency[k] for k in sorted(report.bucket_latency)]
+
+    @pytest.mark.parametrize("workload", ["_fig9a_sweep", "_driver"],
+                             ids=["fig9a-sweep", "triviaqa-driver"])
+    def test_cache_off_serial_equals_cache_on_parallel(self, monkeypatch,
+                                                       workload):
+        run = getattr(self, workload)
+        monkeypatch.setenv(simcache.ENV_VAR, "0")
+        off = run(1)
+        monkeypatch.setenv(simcache.ENV_VAR, "1")
+        simcache.invalidate()
+        assert run(2) == off
+        assert run(2) == off

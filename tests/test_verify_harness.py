@@ -187,11 +187,14 @@ class TestCLIBridge:
         out = capsys.readouterr().out
         assert "[PASS] family=softmax" in out
 
-    def test_verify_replay_missing_path_errors(self):
+    def test_verify_replay_missing_path_errors(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["verify", "replay"])
+        assert main(["verify", "replay"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verify replay requires an artifact path\n")
 
     def _handcrafted_artifact(self, tmp_path):
         """A minimal artifact for a healthy oracle: replay only needs
