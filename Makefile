@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast verify verify-fuzz lint cluster-smoke \
+.PHONY: test test-fast paper verify verify-fuzz lint cluster-smoke \
 	controlplane-smoke trace-smoke approx-smoke tune-smoke moe-smoke \
 	examples-smoke
 
@@ -11,6 +11,12 @@ test:
 # Everything except tests marked `slow` — the edit-run loop subset.
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
+
+# The paper's claims: each Fig. 8 SDF speedup within 12% of the
+# paper's, the ~28% mean latency reduction, and the other figure and
+# table reproductions under benchmarks/ (outside the tier-1 testpaths).
+paper:
+	$(PYTHON) -m pytest benchmarks -q
 
 # Prefers ruff, falls back to pyflakes, and degrades to a syntax check
 # when neither is installed (offline environments).  Always ends with

@@ -38,12 +38,14 @@ same result as a versioned JSON document (``repro.result/v1``) under
 
 Scenario contract
 -----------------
-The serving-style subcommands (``serve-sim``, ``cluster-sim``,
-``controlplane-sim``, ``trace``, ``tune``) share their flags through
-the parent-parser helpers in :mod:`repro.common.scenario` and build
-one :class:`~repro.common.scenario.ScenarioSpec` from the parsed
-namespace; the spec is the single bridge to the simulators, so the
-tuner's artifacts and the CLI runs describe scenarios identically.
+Every flag that sets a scenario field comes from the one flag table,
+:data:`repro.common.scenario.FLAGS`: :func:`~repro.common.scenario.add_flags`
+adds a subcommand's flags, ``ScenarioSpec.from_args`` reads them back,
+and :func:`~repro.common.scenario.check_flags` rejects a non-default
+value where the flag does not apply (``--burst-rate`` without
+``--arrival mmpp``, ``--draft-len`` without ``--draft-model``, ...).
+The spec is the single bridge to the simulators, so the tuner's
+artifacts and the CLI runs describe scenarios identically.
 
 Errors
 ------
@@ -69,9 +71,10 @@ from repro.analysis import (
 from repro.common.errors import ConfigError, ReproError
 from repro.common.results import result_dict
 from repro.common.scenario import (
-    add_sharding_args,
-    add_workload_args,
-    scenario_from_args,
+    RunSettings,
+    ScenarioSpec,
+    add_flags,
+    check_flags,
 )
 from repro.models import InferenceSession, all_models
 
@@ -87,33 +90,15 @@ def emit(payload: dict, text: str, args: argparse.Namespace) -> str:
     output = getattr(args, "output", None)
     if output:
         document = json.dumps(payload, indent=2, sort_keys=True)
-        pathlib.Path(output).write_text(document + "\n")
+        try:
+            pathlib.Path(output).write_text(document + "\n")
+        except OSError as error:
+            raise ConfigError(
+                f"cannot write {output}: {error.strerror}") from None
         return f"{text}\n\nwrote {output}"
     if getattr(args, "json", False):
         return json.dumps(payload, indent=2, sort_keys=True)
     return text
-
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true",
-                        help="print the repro.result/v1 JSON document "
-                             "instead of text")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON document here (prints the "
-                             "text to stdout)")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default="bert-large",
-                        help="bert-large | gpt-neo-1.3b | bigbird-large | "
-                             "longformer-large")
-    parser.add_argument("--model-json", default=None,
-                        help="path to a custom ModelConfig JSON file "
-                             "(overrides --model)")
-    parser.add_argument("--gpu", default="A100",
-                        help="A100 | RTX 3090 | T4 | H100")
-    parser.add_argument("--seq-len", type=int, default=4096)
-    parser.add_argument("--batch", type=int, default=1)
 
 
 def _int_list(flag: str, text: str) -> "list[int]":
@@ -129,18 +114,10 @@ def _int_list(flag: str, text: str) -> "list[int]":
     return values
 
 
-def _resolve_model(args: argparse.Namespace):
-    if getattr(args, "model_json", None):
-        from repro.models.serialization import load_config
-
-        return load_config(args.model_json)
-    return args.model
-
-
 def cmd_simulate(args: argparse.Namespace) -> str:
     result = InferenceSession(
-        _resolve_model(args), gpu=args.gpu, plan=args.plan,
-        seq_len=args.seq_len, batch=args.batch,
+        ScenarioSpec.from_args(args).resolve_model(), gpu=args.gpu,
+        plan=args.plan, seq_len=args.seq_len, batch=args.batch,
     ).simulate()
     text = "\n".join([
         f"{result.model.name} on {result.gpu.name} "
@@ -160,7 +137,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
     rows = []
     baseline = None
     results = {}
-    model = _resolve_model(args)
+    model = ScenarioSpec.from_args(args).resolve_model()
     for plan in ("baseline", "sd", "sdf"):
         result = InferenceSession(
             model, gpu=args.gpu, plan=plan,
@@ -212,8 +189,9 @@ def cmd_libraries(args: argparse.Namespace) -> str:
 
     rows = []
     latencies = {}
+    model = ScenarioSpec.from_args(args).resolve_model()
     for lib in all_libraries():
-        result = simulate_library(lib, args.model, gpu=args.gpu,
+        result = simulate_library(lib, model, gpu=args.gpu,
                                   seq_len=args.seq_len, batch=args.batch)
         latencies[lib.name] = result.total_time
         rows.append([lib.name, f"{result.total_time * 1e3:.2f} ms"])
@@ -228,13 +206,14 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     from repro.workloads.sweep import SweepPoint, SweepRunner
 
     values = _int_list("--values", args.values)
+    model = ScenarioSpec.from_args(args).resolve_model()
     points = []
     for value in values:
         kwargs = dict(seq_len=args.seq_len, batch=args.batch)
         kwargs["seq_len" if args.axis == "seq-len" else "batch"] = value
         for plan in ("baseline", "sdf"):
             points.append(SweepPoint.make(
-                _resolve_model(args), gpu=args.gpu, plan=plan, **kwargs,
+                model, gpu=args.gpu, plan=plan, **kwargs,
             ))
     results = SweepRunner(jobs=args.jobs).run(points)
     rows = []
@@ -260,9 +239,10 @@ def cmd_generate(args: argparse.Namespace) -> str:
     from repro.models.generation import GenerationSession
 
     result = GenerationSession(
-        args.model, gpu=args.gpu, plan=args.plan,
-        prompt_len=args.seq_len, generated_tokens=args.tokens,
-        batch=args.batch, prefill_chunk=args.prefill_chunk,
+        ScenarioSpec.from_args(args).resolve_model(), gpu=args.gpu,
+        plan=args.plan, prompt_len=args.seq_len,
+        generated_tokens=args.tokens, batch=args.batch,
+        prefill_chunk=args.prefill_chunk,
     ).simulate()
     text = render_table(
         ["phase", "value"],
@@ -289,7 +269,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
     # commands happened to evaluate in this process.
     simcache.invalidate()
     tracer = Tracer()
-    spec = scenario_from_args(args)
+    spec = ScenarioSpec.from_args(args)
 
     if args.sim == "inference":
         from repro.gpu.trace import summarize
@@ -352,7 +332,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
 def cmd_parallel(args: argparse.Namespace) -> str:
     from repro.models.parallel import TensorParallelSession
 
-    model = _resolve_model(args)
+    model = ScenarioSpec.from_args(args).resolve_model()
     single = InferenceSession(model, gpu=args.gpu, plan=args.plan,
                               seq_len=args.seq_len,
                               batch=args.batch).simulate()
@@ -403,8 +383,8 @@ def cmd_roofline(args: argparse.Namespace) -> str:
     from repro.gpu.specs import get_gpu
 
     result = InferenceSession(
-        _resolve_model(args), gpu=args.gpu, plan=args.plan,
-        seq_len=args.seq_len, batch=args.batch,
+        ScenarioSpec.from_args(args).resolve_model(), gpu=args.gpu,
+        plan=args.plan, seq_len=args.seq_len, batch=args.batch,
     ).simulate()
     spec = get_gpu(args.gpu)
     points = analyze(result.profile, spec)
@@ -436,7 +416,7 @@ def cmd_footprint(args: argparse.Namespace) -> str:
     from repro.models.footprint import inference_footprint
     from repro.models.config import get_model
 
-    model = _resolve_model(args)
+    model = ScenarioSpec.from_args(args).resolve_model()
     config = get_model(model) if isinstance(model, str) else model
     rows = []
     plans = {}
@@ -502,52 +482,23 @@ def cmd_seq2seq(args: argparse.Namespace) -> str:
 def cmd_serve_sim(args: argparse.Namespace) -> str:
     from repro.analysis.serving import render_serving_comparison
 
-    report = scenario_from_args(args).run_serving()
+    report = ScenarioSpec.from_args(args).run_serving()
     return emit(report.to_dict(), render_serving_comparison(report), args)
 
 
 def cmd_cluster_sim(args: argparse.Namespace) -> str:
     from repro.analysis.cluster import render_cluster_comparison
 
-    report = scenario_from_args(args).run_cluster()
+    report = ScenarioSpec.from_args(args).run_cluster()
     return emit(report.to_dict(), render_cluster_comparison(report), args)
-
-
-def _make_controlplane_config(args: argparse.Namespace):
-    """Tiers, autoscaler, and fault schedule from CLI flags."""
-    from repro.controlplane import (
-        DEFAULT_TIERS, AutoscalerConfig, FailureSchedule, parse_tiers)
-
-    tiers = parse_tiers(args.tiers) if args.tiers else DEFAULT_TIERS
-    autoscaler = None
-    if args.autoscale:
-        autoscaler = AutoscalerConfig(
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-            control_interval=args.control_interval,
-            cold_start_s=args.cold_start,
-        )
-    faults = None
-    if args.death or args.deaths or args.stragglers:
-        if args.death:
-            faults = FailureSchedule(
-                deaths=tuple(sorted(args.death)))
-        else:
-            faults = FailureSchedule.random(
-                duration=args.duration, seed=args.seed,
-                deaths=args.deaths, stragglers=args.stragglers)
-    return tiers, autoscaler, faults
 
 
 def cmd_controlplane_sim(args: argparse.Namespace) -> str:
     from repro.analysis.controlplane import render_controlplane_comparison
 
-    tiers, autoscaler, faults = _make_controlplane_config(args)
-    report = scenario_from_args(args).run_controlplane(
-        tiers=tiers, autoscaler=autoscaler, faults=faults,
-        shed_backlog_tokens=args.shed_tokens,
-        cold_start_s=args.cold_start,
-    )
+    spec = ScenarioSpec.from_args(args)
+    report = spec.run_controlplane(
+        **RunSettings.from_args(args).controller_kwargs(spec))
     return emit(report.to_dict(), render_controlplane_comparison(report),
                 args)
 
@@ -557,7 +508,7 @@ def cmd_tune(args: argparse.Namespace) -> str:
     from repro.tune import tune
 
     result = tune(
-        scenario_from_args(args), objective=args.objective,
+        ScenarioSpec.from_args(args), objective=args.objective,
         budget=args.budget, seed=args.seed, sim=args.sim,
     )
     payload = result.to_dict()
@@ -646,147 +597,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="one inference + breakdown")
-    _add_common(p_sim)
-    p_sim.add_argument("--plan", default="baseline")
-    _add_output(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    def command(name, func, help, **defaults):
+        """A subcommand with its table flags, the output flags, ``func``
+        and any per-command default overrides."""
+        p = sub.add_parser(name, help=help)
+        add_flags(p, name)
+        p.add_argument("--json", action="store_true",
+                       help="print the repro.result/v1 JSON document "
+                            "instead of text")
+        p.add_argument("--output", default=None,
+                       help="write the JSON document here (prints the "
+                            "text to stdout)")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p_cmp = sub.add_parser("compare", help="baseline vs SD vs SDF")
-    _add_common(p_cmp)
-    _add_output(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    command("simulate", cmd_simulate, "one inference + breakdown")
+    command("compare", cmd_compare, "baseline vs SD vs SDF")
+    command("breakdown", cmd_breakdown, "Fig. 2 stacks, all models")
+    command("libraries", cmd_libraries, "Fig. 7 library comparison")
 
-    p_brk = sub.add_parser("breakdown", help="Fig. 2 stacks, all models")
-    _add_common(p_brk)
-    _add_output(p_brk)
-    p_brk.set_defaults(func=cmd_breakdown)
-
-    p_lib = sub.add_parser("libraries", help="Fig. 7 library comparison")
-    _add_common(p_lib)
-    _add_output(p_lib)
-    p_lib.set_defaults(func=cmd_libraries)
-
-    p_swp = sub.add_parser("sweep", help="Fig. 9 sweeps")
-    _add_common(p_swp)
+    p_swp = command("sweep", cmd_sweep, "Fig. 9 sweeps")
     p_swp.add_argument("--axis", choices=("seq-len", "batch"),
                        default="seq-len")
     p_swp.add_argument("--values", default="1024,2048,4096,8192")
     p_swp.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (1 = serial; "
                             "results are identical either way)")
-    _add_output(p_swp)
-    p_swp.set_defaults(func=cmd_sweep)
 
-    p_gen = sub.add_parser("generate", help="prefill + KV-cache decode")
-    _add_common(p_gen)
-    p_gen.set_defaults(model="gpt-neo-1.3b", seq_len=2048)
-    p_gen.add_argument("--plan", default="baseline")
+    p_gen = command("generate", cmd_generate, "prefill + KV-cache decode",
+                    model="gpt-neo-1.3b", seq_len=2048)
     p_gen.add_argument("--tokens", type=int, default=64)
     p_gen.add_argument("--prefill-chunk", type=int, default=0,
                        help="prefill the prompt in chunks of this many "
                             "tokens (0 = single shot)")
-    _add_output(p_gen)
-    p_gen.set_defaults(func=cmd_generate)
 
-    p_par = sub.add_parser("parallel", help="tensor-parallel scaling")
-    _add_common(p_par)
-    p_par.add_argument("--plan", default="baseline")
-    p_par.add_argument("--algorithm", choices=("ring", "tree"),
-                       default="ring",
-                       help="all-reduce algorithm for the collectives")
-    _add_output(p_par)
-    p_par.set_defaults(func=cmd_parallel)
+    command("parallel", cmd_parallel, "tensor-parallel scaling")
+    command("roofline", cmd_roofline, "roofline analysis")
+    command("footprint", cmd_footprint, "peak memory footprint")
 
-    p_roof = sub.add_parser("roofline", help="roofline analysis")
-    _add_common(p_roof)
-    p_roof.add_argument("--plan", default="baseline")
-    _add_output(p_roof)
-    p_roof.set_defaults(func=cmd_roofline)
-
-    p_fp = sub.add_parser("footprint", help="peak memory footprint")
-    _add_common(p_fp)
-    _add_output(p_fp)
-    p_fp.set_defaults(func=cmd_footprint)
-
-    p_s2s = sub.add_parser(
-        "seq2seq",
-        help="encoder-decoder inference (Transformer base/big)")
+    p_s2s = command("seq2seq", cmd_seq2seq,
+                    "encoder-decoder inference (Transformer base/big)")
     p_s2s.add_argument("--config", choices=("base", "big"), default="base",
                        help="Vaswani et al. transformer variant")
-    p_s2s.add_argument("--gpu", default="A100",
-                       help="A100 | RTX 3090 | T4 | H100")
-    p_s2s.add_argument("--plan", default="baseline")
     p_s2s.add_argument("--src-len", type=int, default=4096,
                        help="encoder (source) sequence length")
     p_s2s.add_argument("--tgt-len", type=int, default=4096,
                        help="decoder (target) sequence length")
-    p_s2s.add_argument("--batch", type=int, default=1)
-    _add_output(p_s2s)
-    p_s2s.set_defaults(func=cmd_seq2seq)
 
-    p_srv = sub.add_parser("serve-sim",
-                           help="discrete-event serving simulation")
-    add_workload_args(p_srv)
-    _add_output(p_srv)
-    p_srv.set_defaults(func=cmd_serve_sim)
-
-    p_cls = sub.add_parser("cluster-sim",
-                           help="multi-replica sharded cluster simulation")
-    add_workload_args(p_cls)
-    add_sharding_args(p_cls)
-    _add_output(p_cls)
-    p_cls.set_defaults(func=cmd_cluster_sim)
-
-    p_ctl = sub.add_parser(
-        "controlplane-sim",
-        help="SLO-driven control plane: autoscaling, shedding, faults",
+    command("serve-sim", cmd_serve_sim,
+            "discrete-event serving simulation")
+    command("cluster-sim", cmd_cluster_sim,
+            "multi-replica sharded cluster simulation")
+    command(
+        "controlplane-sim", cmd_controlplane_sim,
+        "SLO-driven control plane: autoscaling, shedding, faults",
+        plans=("sdf",), rate=4.0, duration=30.0,
+        policy="least-outstanding",
     )
-    add_workload_args(p_ctl)
-    p_ctl.set_defaults(plans="sdf", rate=4.0, duration=30.0)
-    p_ctl.add_argument("--replicas", type=int, default=2,
-                       help="initial model replicas")
-    p_ctl.add_argument("--tp", type=int, default=1,
-                       help="tensor-parallel GPUs per replica")
-    p_ctl.add_argument("--pp", type=int, default=1,
-                       help="pipeline-parallel stages per replica")
-    p_ctl.add_argument("--policy", default="least-outstanding",
-                       choices=("round-robin", "least-outstanding",
-                                "prefix-affinity"),
-                       help="request-routing policy")
-    p_ctl.add_argument("--tiers", default=None,
-                       help="SLO tiers as name:share:ttft[:tpot"
-                            "[:attainment]],... (highest priority "
-                            "first; default interactive/batch)")
-    p_ctl.add_argument("--autoscale", action="store_true",
-                       help="enable the SLO-driven autoscaler")
-    p_ctl.add_argument("--min-replicas", type=int, default=1,
-                       help="autoscaler floor")
-    p_ctl.add_argument("--max-replicas", type=int, default=8,
-                       help="autoscaler ceiling")
-    p_ctl.add_argument("--control-interval", type=float, default=0.25,
-                       help="autoscaler tick interval, seconds")
-    p_ctl.add_argument("--cold-start", type=float, default=None,
-                       help="replica cold-start seconds (default: "
-                            "derived from weight-load + KV-pool init)")
-    p_ctl.add_argument("--shed-tokens", type=float, default=0.0,
-                       help="per-replica backlog (tokens) above which "
-                            "the lowest tier sheds; 0 disables")
-    p_ctl.add_argument("--deaths", type=int, default=0,
-                       help="random replica deaths to inject")
-    p_ctl.add_argument("--stragglers", type=int, default=0,
-                       help="random straggler slowdowns to inject")
-    p_ctl.add_argument("--death", type=float, action="append",
-                       default=None,
-                       help="explicit death time, seconds (repeatable; "
-                            "overrides --deaths)")
-    _add_output(p_ctl)
-    p_ctl.set_defaults(func=cmd_controlplane_sim)
 
-    p_ver = sub.add_parser(
-        "verify",
-        help="paper targets, differential fuzzing, artifact replay",
-    )
+    p_ver = command("verify", cmd_verify,
+                    "paper targets, differential fuzzing, artifact replay")
     p_ver.add_argument("mode", nargs="?", default="targets",
                        choices=("targets", "fuzz", "replay"),
                        help="targets: check the paper's headline numbers; "
@@ -805,16 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fuzz harness seed")
     p_ver.add_argument("--artifact-dir", default=None,
                        help="write failure artifacts into this directory")
-    _add_output(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_apx = sub.add_parser(
-        "approx-sweep",
-        help="accuracy-vs-speed Pareto sweep of the approximate "
-             "softmax family (LUT, BAPS, FLASH-D vs SDF and baseline)",
+    p_apx = command(
+        "approx-sweep", cmd_approx_sweep,
+        "accuracy-vs-speed Pareto sweep of the approximate softmax "
+        "family (LUT, BAPS, FLASH-D vs SDF and baseline)",
     )
-    p_apx.add_argument("--gpu", default="A100",
-                       help="A100 | RTX 3090 | T4 | H100")
     p_apx.add_argument("--models",
                        default="bert-large,gpt-neo-1.3b,bigbird-large,"
                                "longformer-large",
@@ -830,45 +696,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy cases per numeric regime")
     p_apx.add_argument("--seed", type=int, default=0,
                        help="accuracy-stage input seed")
-    _add_output(p_apx)
-    p_apx.set_defaults(func=cmd_approx_sweep)
 
-    p_trc = sub.add_parser(
-        "trace",
-        help="run a simulation with tracing on; export a Chrome trace",
+    # Traces get large; default to a shorter workload than serve-sim.
+    p_trc = command(
+        "trace", cmd_trace,
+        "run a simulation with tracing on; export a Chrome trace",
+        rate=4.0, duration=10.0,
     )
     p_trc.add_argument("--sim",
                        choices=("inference", "serving", "cluster",
                                 "controlplane"),
                        default="inference",
                        help="which simulator to run under the tracer")
-    add_workload_args(p_trc)
-    add_sharding_args(p_trc)
-    p_trc.add_argument("--seq-len", type=int, default=4096,
-                       help="sequence length (inference mode)")
-    p_trc.add_argument("--batch", type=int, default=1,
-                       help="batch size (inference mode)")
-    p_trc.add_argument("--plan", default="baseline",
-                       help="attention plan (inference mode; serving and "
-                            "cluster modes use --plans)")
-    # Traces get large; default to a shorter workload than serve-sim.
-    p_trc.set_defaults(rate=4.0, duration=10.0)
-    _add_output(p_trc)
-    p_trc.set_defaults(func=cmd_trace)
 
     from repro.tune import OBJECTIVES
 
-    p_tun = sub.add_parser(
-        "tune",
-        help="closed-loop plan autotuner: deterministic budgeted search "
-             "over plans and engine knobs; emits a repro.tuned_plan/v1 "
-             "artifact for --plan-file",
-    )
-    add_workload_args(p_tun)
-    add_sharding_args(p_tun)
     # The incumbent the winner must beat is the last --plans entry;
     # default to the paper's optimized plan.
-    p_tun.set_defaults(plans="sdf")
+    p_tun = command(
+        "tune", cmd_tune,
+        "closed-loop plan autotuner: deterministic budgeted search over "
+        "plans and engine knobs; emits a repro.tuned_plan/v1 artifact "
+        "for --plan-file",
+        plans=("sdf",),
+    )
     p_tun.add_argument("--objective", choices=OBJECTIVES,
                        default="ttft_p99",
                        help="what to optimize: single-inference latency, "
@@ -883,21 +734,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "objectives (cluster adds TP x PP and "
                             "routing-policy axes); the latency "
                             "objective always scores single inferences")
-    p_tun.add_argument("--seq-len", type=int, default=4096,
-                       help="single-inference sequence length "
-                            "(latency objective)")
-    p_tun.add_argument("--batch", type=int, default=1,
-                       help="single-inference batch size "
-                            "(latency objective)")
-    _add_output(p_tun)
-    p_tun.set_defaults(func=cmd_tune)
 
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        check_flags(parser, args)
         output = args.func(args)
     except ReproError as error:
         print("error: " + " ".join(str(error).split()), file=sys.stderr)

@@ -18,19 +18,31 @@ frozen, JSON-round-trippable description of *what* to simulate —
 - **plan source** — the plans to compare, or a tuned-plan artifact
   (``plan_file``) that pins both the plan and the knobs it tuned.
 
-The CLI builds specs through one :func:`scenario_from_args` helper fed
-by shared parent parsers (:func:`add_workload_args`,
-:func:`add_sharding_args`); ``repro tune`` emits artifacts whose
-``scenario`` section *is* ``spec.to_dict()``, so tuner output and
-simulator input are the same object.
+Every flag that sets a scenario field (or a :class:`RunSettings`
+value: the single-inference plan and the control plane's tiers,
+autoscaler, shedding and faults) is declared once, in :data:`FLAGS`:
+its name, the field it sets, type, choices, help, the subcommands that
+accept it, and the conditions under which it applies.  The default is
+the dataclass field's.  The subcommand parsers (:func:`add_flags`),
+``from_args`` and the applicability check (:func:`check_flags`: a
+non-default value where the flag does not apply is a
+:class:`~repro.common.errors.ConfigError`) are all generated from it.
+``repro tune`` emits artifacts whose ``scenario`` section *is*
+``spec.to_dict()``, and scores each candidate configuration through
+:meth:`ScenarioSpec.configured`, the same path ``--plan-file`` takes,
+so tuner output and simulator input are the same object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import (
+    asdict, dataclass, field, fields, is_dataclass, replace)
+from typing import Callable, Optional
 
-from repro.common.errors import ScenarioError
+from repro.common.errors import ConfigError, ScenarioError
+from repro.controlplane.autoscaler import AutoscalerConfig
+from repro.gpu.specs import gpu_names
+from repro.models.config import model_names
 
 #: Schema tag stamped on serialized scenarios (nested inside tuned-plan
 #: artifacts and accepted back by ``ScenarioSpec.from_dict``).
@@ -75,9 +87,6 @@ class WorkloadSpec:
     draft_len: int = 4
     accept_rate: float = 1.0
 
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -89,9 +98,6 @@ class ArrivalSpec:
     base_dwell: float = 20.0
     burst_dwell: float = 5.0
     period: float = 0.0
-
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -108,9 +114,6 @@ class MoESpec:
     top_k: int = 1
     capacity_factor: float = 1.25
 
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class ShardingSpec:
@@ -126,9 +129,6 @@ class ShardingSpec:
     algorithm: str = "ring"
     interconnect: str = "nvlink3"
     jobs: int = 1
-
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -151,70 +151,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_args(cls, args) -> "ScenarioSpec":
-        """Build a spec from an argparse namespace.
+        """Build a spec from an argparse namespace (see :data:`FLAGS`).
 
-        Reads only the attributes the namespace actually carries, so
-        one helper serves ``serve-sim`` (no sharding flags),
-        ``cluster-sim``/``controlplane-sim`` (their own sharding
-        defaults), and ``tune``.
+        Reads only the table flags the namespace carries, so a
+        ``serve-sim`` namespace (no sharding flags) keeps the sharding
+        defaults.
         """
-        def get(name, default):
-            value = getattr(args, name, None)
-            return default if value is None else value
-
-        plans = getattr(args, "plans", None)
-        if isinstance(plans, str):
-            plans = tuple(p.strip() for p in plans.split(","))
-        workload = WorkloadSpec(
-            rate=get("rate", 8.0),
-            duration=get("duration", 60.0),
-            seed=get("seed", 0),
-            trace_file=getattr(args, "trace_file", None),
-            chunk_tokens=get("chunk_tokens", 512),
-            max_batch=get("max_batch", 32),
-            block_tokens=get("block_tokens", 64),
-            t=get("t", 64),
-            engine=get("engine", "epoch"),
-            prefix_groups=get("prefix_groups", 0),
-            seq_len=get("seq_len", 4096),
-            batch=get("batch", 1),
-            draft_model=getattr(args, "draft_model", None),
-            draft_len=get("draft_len", 4),
-            accept_rate=get("accept_rate", 1.0),
-        )
-        arrival = ArrivalSpec(
-            kind=getattr(args, "arrival", None),
-            burst_rate=get("burst_rate", 0.0),
-            base_dwell=get("base_dwell", 20.0),
-            burst_dwell=get("burst_dwell", 5.0),
-            period=get("period", 0.0),
-        )
-        sharding = ShardingSpec(
-            replicas=get("replicas", 2),
-            tp=get("tp", 1),
-            pp=get("pp", 1),
-            ep=get("ep", 1),
-            policy=get("policy", "round-robin"),
-            algorithm=get("algorithm", "ring"),
-            interconnect=get("interconnect", "nvlink3"),
-            jobs=get("jobs", 1),
-        )
-        moe = MoESpec(
-            n_experts=get("n_experts", 1),
-            top_k=get("top_k", 1),
-            capacity_factor=get("capacity_factor", 1.25),
-        )
-        return cls(
-            model=get("model", "bert-large"),
-            model_json=getattr(args, "model_json", None),
-            gpu=get("gpu", "A100"),
-            workload=workload,
-            arrival=arrival,
-            sharding=sharding,
-            moe=moe,
-            plans=plans if plans else ("baseline", "sdf"),
-            plan_file=getattr(args, "plan_file", None),
-        )
+        return _from_args(cls(), "spec", args)
 
     @classmethod
     def from_dict(cls, document: "dict[str, object]") -> "ScenarioSpec":
@@ -255,18 +198,8 @@ class ScenarioSpec:
 
     def to_dict(self) -> "dict[str, object]":
         """JSON-ready mapping; ``from_dict`` inverts it exactly."""
-        return {
-            "schema": SCENARIO_SCHEMA,
-            "model": self.model,
-            "model_json": self.model_json,
-            "gpu": self.gpu,
-            "workload": self.workload.to_dict(),
-            "arrival": self.arrival.to_dict(),
-            "sharding": self.sharding.to_dict(),
-            "moe": self.moe.to_dict(),
-            "plans": list(self.plans),
-            "plan_file": self.plan_file,
-        }
+        return {"schema": SCENARIO_SCHEMA, **asdict(self),
+                "plans": list(self.plans)}
 
     # -- resolution helpers ---------------------------------------------
 
@@ -349,29 +282,60 @@ class ScenarioSpec:
             return self
         from repro.tune.artifact import load_tuned_plan
 
-        return apply_tuned_plan(self, load_tuned_plan(self.plan_file))
+        return self.configured(load_tuned_plan(self.plan_file).winner_config)
+
+    def configured(self, config: "dict[str, object]") -> "ScenarioSpec":
+        """The spec running one tuner configuration.
+
+        Pins ``plans`` to ``config["plan"]`` and overwrites exactly the
+        knobs ``config`` carries (see :data:`TUNED_KNOBS`); everything
+        else (model, device, workload shape, arrival process) stays the
+        scenario's own.  ``--plan-file`` and the tuner's candidates both
+        go through here, so a tuned plan runs what the tuner scored.
+        """
+        return replace(
+            self,
+            plans=(str(config["plan"]),),
+            plan_file=None,
+            **{section: replace(getattr(self, section),
+                                **{key: config[key] for key in keys
+                                   if key in config})
+               for section, keys in TUNED_KNOBS.items()},
+        )
 
     # -- simulator entry points -----------------------------------------
+
+    def _simulator_kwargs(self, *, fleet: bool) -> "dict[str, object]":
+        """The keyword arguments every ``simulate_*`` entry point shares
+        (plus the fleet shape when ``fleet``)."""
+        workload = self.workload
+        kwargs = dict(
+            rate=workload.rate, duration=workload.duration,
+            seed=workload.seed, plans=self.plans,
+            requests=self.load_requests(), arrival=self.make_arrival(),
+            chunk_tokens=workload.chunk_tokens,
+            max_batch=workload.max_batch,
+            block_tokens=workload.block_tokens, t=workload.t,
+            engine=workload.engine, draft_model=workload.draft_model,
+            draft_len=workload.draft_len, accept_rate=workload.accept_rate,
+        )
+        if fleet:
+            sharding = self.sharding
+            kwargs.update(
+                replicas=sharding.replicas, tp=sharding.tp,
+                pp=sharding.pp, ep=sharding.ep, policy=sharding.policy,
+                algorithm=sharding.algorithm,
+                interconnect=self.interconnect_spec(),
+            )
+        return kwargs
 
     def run_serving(self):
         """Single-node serving comparison over this scenario."""
         from repro.serving import simulate_serving
 
         spec = self.resolved()
-        return simulate_serving(
-            spec.resolve_model(), spec.gpu,
-            rate=spec.workload.rate, duration=spec.workload.duration,
-            seed=spec.workload.seed, plans=spec.plans,
-            requests=spec.load_requests(), arrival=spec.make_arrival(),
-            chunk_tokens=spec.workload.chunk_tokens,
-            max_batch=spec.workload.max_batch,
-            block_tokens=spec.workload.block_tokens,
-            t=spec.workload.t,
-            engine=spec.workload.engine,
-            draft_model=spec.workload.draft_model,
-            draft_len=spec.workload.draft_len,
-            accept_rate=spec.workload.accept_rate,
-        )
+        return simulate_serving(spec.resolve_model(), spec.gpu,
+                                **spec._simulator_kwargs(fleet=False))
 
     def run_cluster(self):
         """Sharded multi-replica comparison over this scenario."""
@@ -380,24 +344,9 @@ class ScenarioSpec:
         spec = self.resolved()
         return simulate_cluster(
             spec.resolve_model(), spec.gpu,
-            rate=spec.workload.rate, duration=spec.workload.duration,
-            seed=spec.workload.seed, plans=spec.plans,
-            replicas=spec.sharding.replicas, tp=spec.sharding.tp,
-            pp=spec.sharding.pp, ep=spec.sharding.ep,
-            policy=spec.sharding.policy,
-            algorithm=spec.sharding.algorithm,
-            interconnect=spec.interconnect_spec(),
-            requests=spec.load_requests(),
             prefix_groups=spec.workload.prefix_groups,
-            arrival=spec.make_arrival(),
-            chunk_tokens=spec.workload.chunk_tokens,
-            max_batch=spec.workload.max_batch,
-            block_tokens=spec.workload.block_tokens,
-            t=spec.workload.t,
-            engine=spec.workload.engine, jobs=spec.sharding.jobs,
-            draft_model=spec.workload.draft_model,
-            draft_len=spec.workload.draft_len,
-            accept_rate=spec.workload.accept_rate,
+            jobs=spec.sharding.jobs,
+            **spec._simulator_kwargs(fleet=True),
         )
 
     def run_controlplane(self, *, tiers=None, autoscaler=None, faults=None,
@@ -405,175 +354,428 @@ class ScenarioSpec:
                          cold_start_s: "float | None" = None):
         """Control-plane run (SLO tiers, autoscaling, faults) over this
         scenario.  Control-loop configuration stays a call-site choice
-        — it describes the controller, not the scenario."""
+        — it describes the controller, not the scenario (the CLI builds
+        it with :meth:`RunSettings.controller_kwargs`)."""
         from repro.controlplane import DEFAULT_TIERS, simulate_controlplane
 
         spec = self.resolved()
         return simulate_controlplane(
             spec.resolve_model(), spec.gpu,
-            rate=spec.workload.rate, duration=spec.workload.duration,
-            seed=spec.workload.seed, plans=spec.plans,
-            arrival=spec.make_arrival(),
-            requests=spec.load_requests(),
             tiers=tiers if tiers is not None else DEFAULT_TIERS,
-            replicas=spec.sharding.replicas, autoscaler=autoscaler,
-            faults=faults, policy=spec.sharding.policy,
+            autoscaler=autoscaler, faults=faults,
             shed_backlog_tokens=shed_backlog_tokens,
             cold_start_s=cold_start_s,
-            tp=spec.sharding.tp, pp=spec.sharding.pp, ep=spec.sharding.ep,
-            algorithm=spec.sharding.algorithm,
-            interconnect=spec.interconnect_spec(),
-            chunk_tokens=spec.workload.chunk_tokens,
-            max_batch=spec.workload.max_batch,
-            block_tokens=spec.workload.block_tokens,
-            t=spec.workload.t,
-            engine=spec.workload.engine,
-            draft_model=spec.workload.draft_model,
-            draft_len=spec.workload.draft_len,
-            accept_rate=spec.workload.accept_rate,
+            **spec._simulator_kwargs(fleet=True),
         )
 
 
-def apply_tuned_plan(spec: ScenarioSpec, artifact) -> ScenarioSpec:
-    """``spec`` with a tuned-plan artifact's winner applied.
+#: The knobs a tuner configuration (and so a tuned-plan artifact's
+#: winner) may carry, by scenario section.
+TUNED_KNOBS = {
+    "workload": ("t", "chunk_tokens", "max_batch", "draft_len"),
+    "sharding": ("tp", "pp", "policy"),
+    "moe": ("top_k",),
+}
 
-    Pins ``plans`` to the winning plan and overwrites exactly the
-    knobs the winner config carries; everything else (model, device,
-    workload shape, arrival process) stays the scenario's own.
+
+@dataclass(frozen=True)
+class RunSettings:
+    """What a command takes beside its scenario: the single-inference
+    plan, and the control plane's SLO tiers, autoscaler, shedding and
+    faults.
+
+    These stay out of :class:`ScenarioSpec` on purpose: they configure
+    one command's run (the controller, not the scenario), and tuned-plan
+    artifacts echo ``ScenarioSpec.to_dict()`` byte for byte.
     """
-    config = artifact.winner_config
-    workload_updates = {
-        key: config[key]
-        for key in ("t", "chunk_tokens", "max_batch", "draft_len")
-        if key in config
-    }
-    sharding_updates = {
-        key: config[key]
-        for key in ("tp", "pp", "policy")
-        if key in config
-    }
-    moe_updates = {
-        key: config[key]
-        for key in ("top_k",)
-        if key in config
-    }
-    return replace(
-        spec,
-        plans=(str(config["plan"]),),
-        plan_file=None,
-        workload=replace(spec.workload, **workload_updates),
-        sharding=replace(spec.sharding, **sharding_updates),
-        moe=replace(spec.moe, **moe_updates),
-    )
+
+    #: Attention plan of a single inference (``simulate``, ``trace
+    #: --sim inference``, ...).
+    plan: str = "baseline"
+    #: SLO tiers as ``name:share:ttft[:tpot[:attainment]],...``
+    #: (``None``: the default interactive/batch pair).
+    tiers: Optional[str] = None
+    autoscale: bool = False
+    min_replicas: int = AutoscalerConfig.min_replicas
+    max_replicas: int = AutoscalerConfig.max_replicas
+    control_interval: float = AutoscalerConfig.control_interval
+    #: Replica cold start, seconds (``None``: derived from weight load
+    #: and KV-pool init).
+    cold_start: Optional[float] = AutoscalerConfig.cold_start_s
+    shed_tokens: float = 0.0
+    deaths: int = 0
+    stragglers: int = 0
+    #: Explicit death times, seconds (replaces the seeded schedule).
+    death: "Optional[tuple[float, ...]]" = None
+
+    @classmethod
+    def from_args(cls, args) -> "RunSettings":
+        """Read the table's run settings from an argparse namespace."""
+        return _from_args(cls(), "settings", args)
+
+    def controller_kwargs(self, spec: ScenarioSpec) -> "dict[str, object]":
+        """Tiers, autoscaler, fault schedule, shedding and cold start
+        for :meth:`ScenarioSpec.run_controlplane`."""
+        from repro.controlplane import (
+            DEFAULT_TIERS, FailureSchedule, parse_tiers)
+
+        autoscaler = None
+        if self.autoscale:
+            autoscaler = AutoscalerConfig(
+                min_replicas=self.min_replicas,
+                max_replicas=self.max_replicas,
+                control_interval=self.control_interval,
+                cold_start_s=self.cold_start,
+            )
+        faults = None
+        if self.death:
+            faults = FailureSchedule(deaths=tuple(sorted(self.death)))
+        elif self.deaths or self.stragglers:
+            faults = FailureSchedule.random(
+                duration=spec.workload.duration, seed=spec.workload.seed,
+                deaths=self.deaths, stragglers=self.stragglers)
+        return dict(
+            tiers=parse_tiers(self.tiers) if self.tiers else DEFAULT_TIERS,
+            autoscaler=autoscaler, faults=faults,
+            shed_backlog_tokens=self.shed_tokens,
+            cold_start_s=self.cold_start,
+        )
 
 
-# -- shared argparse parents -----------------------------------------------
+@dataclass(frozen=True)
+class Invocation:
+    """One command's parsed flags: the scenario, the run settings, and
+    the simulator that runs them (``inference``, ``serving``,
+    ``cluster`` or ``controlplane``)."""
+
+    command: str
+    simulator: str
+    spec: ScenarioSpec
+    settings: RunSettings
+
+    @classmethod
+    def from_args(cls, args) -> "Invocation":
+        if args.command == "tune":
+            from repro.tune.evaluate import default_mode
+
+            simulator = default_mode(args.objective, args.sim)
+        else:  # trace picks with --sim; the inference commands have none
+            simulator = getattr(args, "sim", None) or {
+                "serve-sim": "serving", "cluster-sim": "cluster",
+                "controlplane-sim": "controlplane",
+            }.get(args.command, "inference")
+        return cls(args.command, simulator, ScenarioSpec.from_args(args),
+                   RunSettings.from_args(args))
+
+    @property
+    def searches_fleet(self) -> bool:
+        """The tuner searches TP, PP and the routing policy, so every
+        fleet knob those axes reach applies."""
+        return self.command == "tune" and self.simulator == "cluster"
 
 
-def add_workload_args(parser) -> None:
-    """The model/device/workload/arrival flag set every serving-style
-    subcommand shares (``serve-sim``, ``cluster-sim``,
-    ``controlplane-sim``, ``trace``, ``tune``)."""
-    parser.add_argument("--model", default="bert-large",
-                        help="bert-large | gpt-neo-1.3b | bigbird-large | "
-                             "longformer-large")
-    parser.add_argument("--model-json", default=None,
-                        help="path to a custom ModelConfig JSON file "
-                             "(overrides --model)")
-    parser.add_argument("--gpu", default="A100",
-                        help="A100 | RTX 3090 | T4 | V100 | H100")
-    parser.add_argument("--rate", type=float, default=8.0,
-                        help="Poisson arrival rate, requests/second")
-    parser.add_argument("--duration", type=float, default=60.0,
-                        help="arrival-window length, seconds (the run "
-                             "continues until every request drains)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--arrival", default=None,
-                        choices=("poisson", "mmpp", "diurnal"),
-                        help="arrival process; default keeps the legacy "
-                             "Poisson stream (mmpp: bursty two-state; "
-                             "diurnal: day-curve thinning)")
-    parser.add_argument("--burst-rate", type=float, default=0.0,
-                        help="mmpp burst-state rate, req/s (default "
-                             "4x --rate)")
-    parser.add_argument("--base-dwell", type=float, default=20.0,
-                        help="mmpp mean base-state dwell, seconds")
-    parser.add_argument("--burst-dwell", type=float, default=5.0,
-                        help="mmpp mean burst-state dwell, seconds")
-    parser.add_argument("--period", type=float, default=0.0,
-                        help="diurnal day-curve period, seconds "
-                             "(default: --duration, i.e. one compressed "
-                             "day per run)")
-    parser.add_argument("--plans", default="baseline,sdf",
-                        help="comma-separated plans to compare "
-                             "(baseline, sd, sdf)")
-    parser.add_argument("--plan-file", default=None,
-                        help="tuned-plan artifact (repro.tuned_plan/v1, "
-                             "from `repro tune`); pins the plan and the "
-                             "knobs it tuned, overriding --plans")
-    parser.add_argument("--trace-file", default=None,
-                        help="JSONL request trace to replay instead of "
-                             "the synthetic Poisson workload")
-    parser.add_argument("--chunk-tokens", type=int, default=512,
-                        help="prefill chunk size / per-step prefill budget")
-    parser.add_argument("--max-batch", type=int, default=32,
-                        help="max concurrently running requests")
-    parser.add_argument("--block-tokens", type=int, default=64,
-                        help="KV-cache block size, tokens")
-    parser.add_argument("--engine", choices=("epoch", "event"),
-                        default="epoch",
-                        help="stepping mode: epoch-batched fast path "
-                             "(default) or the classic per-step event loop "
-                             "(identical output, slower)")
-    parser.add_argument("--n-experts", type=int, default=1,
-                        help="mixture-of-experts expert count applied to "
-                             "the model's FFN (1 = dense, the default)")
-    parser.add_argument("--top-k", type=int, default=1,
-                        help="experts each token routes to (MoE only)")
-    parser.add_argument("--capacity-factor", type=float, default=1.25,
-                        help="per-expert capacity slack over the balanced "
-                             "load (MoE only)")
-    parser.add_argument("--draft-model", default=None,
-                        help="draft model enabling speculative decoding "
-                             "(default: disabled)")
-    parser.add_argument("--draft-len", type=int, default=4,
-                        help="speculation depth: draft tokens per round")
-    parser.add_argument("--accept-rate", type=float, default=1.0,
-                        help="modeled per-round draft acceptance rate "
-                             "in [0, 1]")
+# -- the flag table ---------------------------------------------------------
 
 
-def add_sharding_args(parser) -> None:
-    """The fleet-shape flag set (``cluster-sim``, ``trace --sim
-    cluster``, ``tune --sim cluster``)."""
-    parser.add_argument("--replicas", type=int, default=2,
-                        help="model replicas behind the router")
-    parser.add_argument("--tp", type=int, default=1,
-                        help="tensor-parallel GPUs per replica")
-    parser.add_argument("--pp", type=int, default=1,
-                        help="pipeline-parallel stages per replica")
-    parser.add_argument("--ep", type=int, default=1,
-                        help="expert-parallel shards per replica (MoE "
-                             "models; must divide --n-experts)")
-    parser.add_argument("--policy", default="round-robin",
-                        choices=("round-robin", "least-outstanding",
-                                 "prefix-affinity"),
-                        help="request-routing policy")
-    parser.add_argument("--algorithm", choices=("ring", "tree"),
-                        default="ring",
-                        help="all-reduce algorithm inside each replica")
-    parser.add_argument("--interconnect", choices=("nvlink3", "pcie4"),
-                        default="nvlink3",
-                        help="intra-replica GPU interconnect")
-    parser.add_argument("--prefix-groups", type=int, default=0,
-                        help="synthetic shared-prefix groups in the "
-                             "workload (0 = none)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sharded replica "
-                             "simulation (round-robin policy only; "
-                             "results are identical either way)")
+@dataclass(frozen=True)
+class Condition:
+    """When a flag applies: ``test`` over the :class:`Invocation` (its
+    spec with any ``--plan-file`` applied), and the text completing
+    ``"<flag> applies only ..."``."""
+
+    test: "Callable[[Invocation], bool]"
+    text: str
 
 
-def scenario_from_args(args) -> ScenarioSpec:
-    """The one CLI-namespace -> :class:`ScenarioSpec` helper."""
-    return ScenarioSpec.from_args(args)
+_ONE_INFERENCE = Condition(lambda run: run.simulator == "inference",
+                           "to single inferences (trace --sim inference, "
+                           "tune --objective latency)")
+_SERVING = Condition(lambda run: run.simulator != "inference",
+                     "to serving simulations")
+#: ``--seed`` and ``--plans`` also seed and anchor the tuner's search.
+_SERVING_OR_TUNE = Condition(
+    lambda run: run.simulator != "inference" or run.command == "tune",
+    _SERVING.text)
+_NO_MODEL_JSON = Condition(lambda run: run.spec.model_json is None,
+                           "without --model-json")
+_MMPP = Condition(lambda run: run.spec.arrival.kind == "mmpp",
+                  "with --arrival mmpp")
+_DIURNAL = Condition(lambda run: run.spec.arrival.kind == "diurnal",
+                     "with --arrival diurnal")
+_MOE = Condition(lambda run: run.spec.moe.n_experts > 1,
+                 "with --n-experts > 1")
+_DRAFT = Condition(lambda run: run.spec.workload.draft_model is not None,
+                   "with --draft-model")
+_FLEET = Condition(lambda run: run.simulator in ("cluster", "controlplane"),
+                   "to cluster and control-plane simulations")
+#: ``trace --sim controlplane`` always routes least-outstanding.
+_ROUTED = Condition(lambda run: run.simulator == "cluster"
+                    or run.command == "controlplane-sim",
+                    "to cluster-sim, controlplane-sim and --sim cluster")
+_PREFIX_AFFINITY = Condition(
+    lambda run: run.spec.sharding.policy == "prefix-affinity"
+    or run.searches_fleet, "with --policy prefix-affinity")
+#: All-reduces run only inside a TP group (``parallel`` sweeps 2-8).
+_TP = Condition(lambda run: run.spec.sharding.tp > 1 or run.searches_fleet
+                or run.command == "parallel", "with --tp > 1")
+#: The interconnect prices collectives and control-plane cold starts.
+_LINKED = Condition(
+    lambda run: run.simulator == "controlplane" or run.searches_fleet
+    or max(run.spec.sharding.tp, run.spec.sharding.pp,
+           run.spec.sharding.ep) > 1, "with --tp, --pp or --ep > 1")
+_CLUSTER = Condition(lambda run: run.simulator == "cluster",
+                     "to cluster simulations")
+_AUTOSCALE = Condition(lambda run: run.settings.autoscale,
+                       "with --autoscale")
+_NO_DEATH = Condition(lambda run: run.settings.death is None,
+                      "without --death")
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One row of the flag table.
+
+    ``field`` is the value's path from an :class:`Invocation`
+    (``spec.arrival.burst_rate``, ``settings.autoscale``); its default
+    is that dataclass field's default.  ``commands`` are the
+    subcommands that accept the flag, and ``when`` the conditions
+    under which a non-default value changes the run.
+    """
+
+    name: str
+    field: str
+    commands: "frozenset[str]"
+    help: str
+    type: "Optional[Callable]" = None
+    choices: "Optional[tuple]" = None
+    action: Optional[str] = None
+    when: "tuple[Condition, ...]" = ()
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+    def value(self, run: Invocation):
+        for part in self.field.split("."):
+            run = getattr(run, part)
+        return run
+
+    def add_to(self, parser) -> None:
+        options = dict(type=self.type, choices=self.choices,
+                       action=self.action)
+        parser.add_argument(
+            self.name, default=self.value(_DEFAULTS), help=self.help,
+            **{key: value for key, value in options.items()
+               if value is not None})
+
+
+def _plan_list(text: str) -> "tuple[str, ...]":
+    return tuple(plan.strip() for plan in text.split(","))
+
+
+_DEFAULTS = Invocation("", "", ScenarioSpec(), RunSettings())
+_INFER = frozenset({
+    "simulate", "compare", "breakdown", "libraries", "sweep", "generate",
+    "parallel", "roofline", "footprint",
+})
+_SERVE = frozenset({
+    "serve-sim", "cluster-sim", "controlplane-sim", "trace", "tune",
+})
+_SHARD = frozenset({"cluster-sim", "trace", "tune"})
+_CONTROL = frozenset({"controlplane-sim"})
+
+
+#: Every scenario and run-setting flag, declared once.  The parsers
+#: (:func:`add_flags`), ``from_args`` and :func:`check_flags` all read
+#: this table.
+FLAGS: "tuple[Flag, ...]" = (
+    # -- model and device
+    Flag("--model", "spec.model", _INFER - {"breakdown"} | _SERVE,
+         "model preset: " + " | ".join(model_names()),
+         when=(_NO_MODEL_JSON,)),
+    Flag("--model-json", "spec.model_json",
+         _INFER - {"breakdown"} | _SERVE,
+         "path to a custom ModelConfig JSON file (replaces --model)"),
+    Flag("--gpu", "spec.gpu",
+         _INFER | _SERVE | {"seq2seq", "approx-sweep"},
+         "GPU preset: " + " | ".join(gpu_names())),
+    # -- single inference
+    Flag("--seq-len", "spec.workload.seq_len", _INFER | {"trace", "tune"},
+         "single-inference sequence length", int, when=(_ONE_INFERENCE,)),
+    Flag("--batch", "spec.workload.batch",
+         _INFER | {"seq2seq", "trace", "tune"},
+         "single-inference batch size", int, when=(_ONE_INFERENCE,)),
+    Flag("--plan", "settings.plan",
+         frozenset({"simulate", "generate", "parallel", "roofline",
+                    "seq2seq", "trace"}),
+         "attention plan of the single inference (serving simulations "
+         "use --plans)", when=(_ONE_INFERENCE,)),
+    # -- request stream
+    Flag("--rate", "spec.workload.rate", _SERVE,
+         "Poisson arrival rate, requests/second", float, when=(_SERVING,)),
+    Flag("--duration", "spec.workload.duration", _SERVE,
+         "arrival-window length, seconds (the run continues until every "
+         "request drains)", float, when=(_SERVING,)),
+    Flag("--seed", "spec.workload.seed", _SERVE,
+         "workload seed (tune: also the search seed)", int,
+         when=(_SERVING_OR_TUNE,)),
+    Flag("--arrival", "spec.arrival.kind", _SERVE,
+         "arrival process; default keeps the legacy Poisson stream "
+         "(mmpp: bursty two-state; diurnal: day-curve thinning)",
+         choices=("poisson", "mmpp", "diurnal"), when=(_SERVING,)),
+    Flag("--burst-rate", "spec.arrival.burst_rate", _SERVE,
+         "mmpp burst-state rate, req/s (default 4x --rate)", float,
+         when=(_SERVING, _MMPP)),
+    Flag("--base-dwell", "spec.arrival.base_dwell", _SERVE,
+         "mmpp mean base-state dwell, seconds", float,
+         when=(_SERVING, _MMPP)),
+    Flag("--burst-dwell", "spec.arrival.burst_dwell", _SERVE,
+         "mmpp mean burst-state dwell, seconds", float,
+         when=(_SERVING, _MMPP)),
+    Flag("--period", "spec.arrival.period", _SERVE,
+         "diurnal day-curve period, seconds (default: --duration, i.e. "
+         "one compressed day per run)", float, when=(_SERVING, _DIURNAL)),
+    Flag("--trace-file", "spec.workload.trace_file", _SERVE,
+         "JSONL request trace to replay instead of the synthetic "
+         "Poisson workload", when=(_SERVING,)),
+    # -- plans
+    Flag("--plans", "spec.plans", _SERVE,
+         "comma-separated plans to compare (baseline, sd, sdf); tune "
+         "starts from the last", _plan_list, when=(_SERVING_OR_TUNE,)),
+    Flag("--plan-file", "spec.plan_file", _SERVE,
+         "tuned-plan artifact (repro.tuned_plan/v1, from `repro tune`); "
+         "pins the plan and the knobs it tuned, overriding --plans",
+         when=(_SERVING,)),
+    # -- engine
+    Flag("--chunk-tokens", "spec.workload.chunk_tokens", _SERVE,
+         "prefill chunk size / per-step prefill budget", int,
+         when=(_SERVING,)),
+    Flag("--max-batch", "spec.workload.max_batch", _SERVE,
+         "max concurrently running requests", int, when=(_SERVING,)),
+    Flag("--block-tokens", "spec.workload.block_tokens", _SERVE,
+         "KV-cache block size, tokens", int, when=(_SERVING,)),
+    Flag("--engine", "spec.workload.engine", _SERVE,
+         "stepping mode: epoch-batched fast path (default) or the "
+         "classic per-step event loop (identical output, slower)",
+         choices=("epoch", "event"), when=(_SERVING,)),
+    # -- mixture of experts
+    Flag("--n-experts", "spec.moe.n_experts", _SERVE,
+         "mixture-of-experts expert count applied to the model's FFN "
+         "(1 = dense, the default)", int),
+    Flag("--top-k", "spec.moe.top_k", _SERVE,
+         "experts each token routes to", int, when=(_MOE,)),
+    Flag("--capacity-factor", "spec.moe.capacity_factor", _SERVE,
+         "per-expert capacity slack over the balanced load", float,
+         when=(_MOE,)),
+    # -- speculative decoding
+    Flag("--draft-model", "spec.workload.draft_model", _SERVE,
+         "draft model enabling speculative decoding (default: disabled)",
+         when=(_SERVING,)),
+    Flag("--draft-len", "spec.workload.draft_len", _SERVE,
+         "speculation depth: draft tokens per round", int,
+         when=(_SERVING, _DRAFT)),
+    Flag("--accept-rate", "spec.workload.accept_rate", _SERVE,
+         "modeled per-round draft acceptance rate in [0, 1]", float,
+         when=(_SERVING, _DRAFT)),
+    # -- fleet shape
+    Flag("--replicas", "spec.sharding.replicas", _SHARD | _CONTROL,
+         "model replicas behind the router (controlplane-sim: initial "
+         "replicas)", int, when=(_FLEET,)),
+    Flag("--tp", "spec.sharding.tp", _SHARD | _CONTROL,
+         "tensor-parallel GPUs per replica", int, when=(_FLEET,)),
+    Flag("--pp", "spec.sharding.pp", _SHARD | _CONTROL,
+         "pipeline-parallel stages per replica", int, when=(_FLEET,)),
+    Flag("--ep", "spec.sharding.ep", _SHARD,
+         "expert-parallel shards per replica (MoE models; must divide "
+         "--n-experts)", int, when=(_FLEET,)),
+    Flag("--policy", "spec.sharding.policy", _SHARD | _CONTROL,
+         "request-routing policy",
+         choices=("round-robin", "least-outstanding", "prefix-affinity"),
+         when=(_FLEET, _ROUTED)),
+    Flag("--prefix-groups", "spec.workload.prefix_groups", _SHARD,
+         "synthetic shared-prefix groups in the workload (0 = none)", int,
+         when=(_FLEET, _PREFIX_AFFINITY)),
+    Flag("--algorithm", "spec.sharding.algorithm", _SHARD | {"parallel"},
+         "all-reduce algorithm inside each tensor-parallel group",
+         choices=("ring", "tree"), when=(_TP,)),
+    Flag("--interconnect", "spec.sharding.interconnect", _SHARD,
+         "intra-replica GPU interconnect", choices=("nvlink3", "pcie4"),
+         when=(_FLEET, _LINKED)),
+    Flag("--jobs", "spec.sharding.jobs", _SHARD,
+         "worker processes for sharded replica simulation (round-robin "
+         "policy only; results are identical either way)", int,
+         when=(_CLUSTER,)),
+    # -- control plane
+    Flag("--tiers", "settings.tiers", _CONTROL,
+         "SLO tiers as name:share:ttft[:tpot[:attainment]],... (highest "
+         "priority first; default interactive/batch)"),
+    Flag("--autoscale", "settings.autoscale", _CONTROL,
+         "enable the SLO-driven autoscaler", action="store_true"),
+    Flag("--min-replicas", "settings.min_replicas", _CONTROL,
+         "autoscaler floor", int, when=(_AUTOSCALE,)),
+    Flag("--max-replicas", "settings.max_replicas", _CONTROL,
+         "autoscaler ceiling", int, when=(_AUTOSCALE,)),
+    Flag("--control-interval", "settings.control_interval", _CONTROL,
+         "autoscaler tick interval, seconds", float, when=(_AUTOSCALE,)),
+    Flag("--cold-start", "settings.cold_start", _CONTROL,
+         "replica cold-start seconds (default: derived from weight-load "
+         "+ KV-pool init)", float),
+    Flag("--shed-tokens", "settings.shed_tokens", _CONTROL,
+         "per-replica backlog (tokens) above which the lowest tier "
+         "sheds; 0 disables", float),
+    Flag("--deaths", "settings.deaths", _CONTROL,
+         "random replica deaths to inject", int, when=(_NO_DEATH,)),
+    Flag("--stragglers", "settings.stragglers", _CONTROL,
+         "random straggler slowdowns to inject", int, when=(_NO_DEATH,)),
+    Flag("--death", "settings.death", _CONTROL,
+         "explicit death time, seconds (repeatable; replaces --deaths "
+         "and --stragglers)", float, action="append"),
+)
+
+
+def add_flags(parser, command: str) -> None:
+    """Add every table flag ``command`` accepts to ``parser``."""
+    for flag in FLAGS:
+        if command in flag.commands:
+            flag.add_to(parser)
+
+
+_BY_FIELD = {flag.field: flag for flag in FLAGS}
+
+
+def _from_args(instance, path: str, args):
+    """``instance`` with every field a table flag sets, and ``args``
+    carries, read from ``args`` (repeatable flags become tuples)."""
+    changes = {}
+    for item in fields(instance):
+        value, key = getattr(instance, item.name), f"{path}.{item.name}"
+        if is_dataclass(value):
+            changes[item.name] = _from_args(value, key, args)
+        elif key in _BY_FIELD and hasattr(args, _BY_FIELD[key].dest):
+            value = getattr(args, _BY_FIELD[key].dest)
+            changes[item.name] = (tuple(value) if isinstance(value, list)
+                                  else value)
+    return replace(instance, **changes)
+
+
+def check_flags(parser, args) -> None:
+    """Reject a flag set away from its default where it does not apply.
+
+    The default is what the subcommand would use without the flag
+    (``parser`` re-parses the bare subcommand, so per-command
+    ``set_defaults`` count); the conditions see the spec with any
+    ``--plan-file`` applied.  Raises
+    :class:`~repro.common.errors.ConfigError` naming the first such
+    flag and the condition it needs.
+    """
+    run = Invocation.from_args(args)
+    default = Invocation.from_args(parser.parse_args([args.command]))
+    live = replace(run, spec=run.spec.resolved())
+    for flag in FLAGS:
+        if args.command not in flag.commands or \
+                flag.value(run) == flag.value(default):
+            continue
+        for condition in flag.when:
+            if not condition.test(live):
+                raise ConfigError(f"{flag.name} applies only "
+                                  f"{condition.text}")

@@ -238,6 +238,11 @@ def get_gpu(name: str) -> GPUSpec:
         raise ConfigError(f"unknown GPU {name!r}; known GPUs: {known}") from None
 
 
+def gpu_names() -> tuple[str, ...]:
+    """The name of every GPU preset :func:`get_gpu` accepts."""
+    return tuple(spec.name for spec in _REGISTRY.values())
+
+
 def all_gpus() -> tuple[GPUSpec, ...]:
     """All built-in device presets, in Table 1 order."""
     return (A100, RTX3090, T4)

@@ -236,6 +236,13 @@ def get_model(name: str) -> ModelConfig:
         raise ConfigError(f"unknown model {name!r}; known models: {known}") from None
 
 
+def model_names() -> tuple[str, ...]:
+    """Every name :func:`get_model` accepts, MoE presets included."""
+    import repro.models.moe  # noqa: F401  (registers the MoE presets)
+
+    return tuple(_REGISTRY)
+
+
 def all_models() -> tuple[ModelConfig, ...]:
     """The four evaluated models, in the paper's order."""
     return (BERT_LARGE, GPT_NEO_1_3B, BIGBIRD_LARGE, LONGFORMER_LARGE)

@@ -82,5 +82,10 @@ def config_from_json(text: str) -> ModelConfig:
 
 def load_config(path: str) -> ModelConfig:
     """Read a model configuration from a JSON file."""
-    with open(path) as handle:
-        return config_from_json(handle.read())
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as error:
+        raise ConfigError(
+            f"cannot read model config {path}: {error.strerror}") from None
+    return config_from_json(text)

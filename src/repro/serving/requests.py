@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import ServingError
+from repro.common.errors import ConfigError, ServingError
 from repro.common.validation import require_positive
 from repro.serving.arrivals import ArrivalProcess, PoissonArrivals
 from repro.workloads.triviaqa import SyntheticTriviaQA
@@ -316,7 +316,12 @@ def load_trace(path: str, *, block_tokens: int = 64) -> list[Request]:
     arrivals: "list[float]" = []
     prompts: "list[int]" = []
     outputs: "list[int]" = []
-    with open(path) as handle:
+    try:
+        handle = open(path)
+    except OSError as error:
+        raise ConfigError(
+            f"cannot read trace {path}: {error.strerror}") from None
+    with handle:
         for lineno, line in enumerate(handle):
             line = line.strip()
             if not line:

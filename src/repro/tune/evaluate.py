@@ -5,10 +5,15 @@ the existing simulation layers — it never re-implements a cost model:
 
 - ``mode="inference"`` — :class:`repro.models.runtime.InferenceSession`
   end-to-end latency at the scenario's ``seq_len``/``batch`` shape;
-- ``mode="serving"``   — :class:`repro.serving.ServingSimulator` over
-  the scenario's request stream (TTFT/TPOT percentiles, throughput);
-- ``mode="cluster"``   — :class:`repro.cluster.ClusterSimulator` with
-  the candidate's TP x PP and routing policy.
+- ``mode="serving"``   — ``ScenarioSpec.run_serving`` over the
+  scenario's request stream (TTFT/TPOT percentiles, throughput);
+- ``mode="cluster"``   — ``ScenarioSpec.run_cluster`` with the
+  candidate's TP x PP and routing policy.
+
+Each candidate runs as the scenario with its configuration applied
+(:meth:`ScenarioEvaluator.candidate`), exactly as a ``--plan-file``
+artifact is applied, so the simulators see the same arguments either
+way.
 
 Fidelity is the successive-halving lever: a fidelity of ``0.25``
 replays the first quarter of the arrival window, which ranks
@@ -27,6 +32,7 @@ execution) score ``inf`` instead of aborting the search.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from repro.common.errors import ReproError, TuneError
 from repro.obs.tracer import current_tracer
@@ -87,9 +93,6 @@ class ScenarioEvaluator:
         #: Fresh (non-memoized) evaluations performed so far.
         self.evaluations = 0
         self._memo: "dict[tuple, float]" = {}
-        self._workloads: "dict[float, object]" = {}
-        self._requests = None
-        self._requests_loaded = False
 
     # -- memo bookkeeping -----------------------------------------------
 
@@ -126,138 +129,37 @@ class ScenarioEvaluator:
 
     # -- backends -------------------------------------------------------
 
+    def candidate(self, config: "dict[str, object]",
+                  fidelity: float = 1.0):
+        """The scenario running ``config`` at ``fidelity``.
+
+        The config is applied the way a ``--plan-file`` artifact is
+        (:meth:`~repro.common.scenario.ScenarioSpec.configured`); a
+        fidelity below 1 shortens the synthetic arrival window (a
+        replayed trace is used whole at every fidelity).
+        """
+        spec = self.spec.configured(config)
+        return replace(spec, workload=replace(
+            spec.workload, duration=spec.workload.duration * fidelity))
+
     def _evaluate(self, config, fidelity: float) -> float:
+        spec = self.candidate(config, fidelity)
         if self.mode == "inference":
-            return self._evaluate_inference(config)
-        report = (self._evaluate_serving(config, fidelity)
-                  if self.mode == "serving"
-                  else self._evaluate_cluster(config, fidelity))
+            from repro.models.runtime import InferenceSession
+
+            return InferenceSession(
+                spec.resolve_model(), gpu=spec.gpu, plan=spec.plans[0],
+                seq_len=spec.workload.seq_len, batch=spec.workload.batch,
+                t=spec.workload.t,
+            ).simulate().total_time
+        runs = (spec.run_serving() if self.mode == "serving"
+                else spec.run_cluster())
+        (report,) = runs.plans.values()
         if self.objective == "ttft_p99":
             return report.ttft.p99
         if self.objective == "tpot_p99":
             return report.tpot.p99
         return report.throughput_tokens_per_s
-
-    def _evaluate_inference(self, config) -> float:
-        from repro.models.runtime import InferenceSession
-
-        spec = self.spec
-        session = InferenceSession(
-            spec.resolve_model(), gpu=spec.gpu, plan=str(config["plan"]),
-            seq_len=spec.workload.seq_len, batch=spec.workload.batch,
-            t=int(config["t"]),
-        )
-        return session.simulate().total_time
-
-    def _stream(self, fidelity: float):
-        """The request stream at a fidelity: ``(requests, workload)``.
-
-        A replayed trace is used whole at every fidelity (its length is
-        fixed); the synthetic stream scales its arrival window by
-        ``fidelity`` and is built once per fidelity level, so every
-        candidate at one level replays the identical stream.
-        """
-        if not self._requests_loaded:
-            self._requests = self.spec.load_requests()
-            self._requests_loaded = True
-        if self._requests is not None:
-            return self._requests, None
-        if fidelity not in self._workloads:
-            from repro.serving.requests import ServingWorkload
-
-            spec = self.spec
-            duration = spec.workload.duration * fidelity
-            arrival = None
-            if spec.arrival.kind is not None:
-                from repro.serving import make_arrival
-
-                arrival = make_arrival(
-                    spec.arrival.kind, rate=spec.workload.rate,
-                    burst_rate=spec.arrival.burst_rate,
-                    base_dwell=spec.arrival.base_dwell,
-                    burst_dwell=spec.arrival.burst_dwell,
-                    period=spec.arrival.period, duration=duration,
-                )
-            self._workloads[fidelity] = ServingWorkload(
-                rate=spec.workload.rate, duration=duration,
-                seed=spec.workload.seed,
-                block_tokens=spec.workload.block_tokens,
-                prefix_groups=spec.workload.prefix_groups,
-                arrival=arrival,
-            )
-        return None, self._workloads[fidelity]
-
-    def _resolve_model(self, config):
-        """The scenario's model with any searched MoE fan-out applied.
-
-        ``resolve_model`` already applies the scenario's own overlay;
-        a ``top_k`` axis value re-overlays on top of it (the overlay is
-        idempotent for everything but the searched knob).
-        """
-        model = self.spec.resolve_model()
-        if "top_k" in config:
-            from repro.models.config import get_model
-            from repro.models.moe import moe_overrides
-
-            moe = self.spec.moe
-            model = moe_overrides(
-                get_model(model) if isinstance(model, str) else model,
-                n_experts=moe.n_experts, top_k=int(config["top_k"]),
-                capacity_factor=moe.capacity_factor,
-            )
-        return model
-
-    def _spec_decode_kwargs(self, config):
-        """Speculative-decoding knobs, with any searched draft depth."""
-        workload = self.spec.workload
-        if workload.draft_model is None:
-            return {}
-        return {
-            "draft_model": workload.draft_model,
-            "draft_len": int(config.get("draft_len", workload.draft_len)),
-            "accept_rate": workload.accept_rate,
-        }
-
-    def _evaluate_serving(self, config, fidelity: float):
-        from repro.core.plansource import PlanSource
-        from repro.serving.simulator import ServingSimulator
-
-        spec = self.spec
-        requests, workload = self._stream(fidelity)
-        return ServingSimulator(
-            self._resolve_model(config), spec.gpu,
-            plan=PlanSource.of(str(config["plan"])),
-            requests=requests, workload=workload,
-            chunk_tokens=int(config["chunk_tokens"]),
-            max_batch=int(config["max_batch"]),
-            block_tokens=spec.workload.block_tokens,
-            t=int(config["t"]), engine=spec.workload.engine,
-            **self._spec_decode_kwargs(config),
-        ).run()
-
-    def _evaluate_cluster(self, config, fidelity: float):
-        from repro.cluster.router import ClusterSimulator
-        from repro.core.plansource import PlanSource
-
-        spec = self.spec
-        requests, workload = self._stream(fidelity)
-        return ClusterSimulator(
-            self._resolve_model(config), spec.gpu,
-            plan=PlanSource.of(str(config["plan"])),
-            requests=requests, workload=workload,
-            replicas=spec.sharding.replicas,
-            tp=int(config["tp"]), pp=int(config["pp"]),
-            ep=spec.sharding.ep,
-            policy=str(config["policy"]),
-            algorithm=spec.sharding.algorithm,
-            interconnect=spec.interconnect_spec(),
-            chunk_tokens=int(config["chunk_tokens"]),
-            max_batch=int(config["max_batch"]),
-            block_tokens=spec.workload.block_tokens,
-            t=int(config["t"]), engine=spec.workload.engine,
-            jobs=spec.sharding.jobs,
-            **self._spec_decode_kwargs(config),
-        ).run()
 
 
 def score_config(spec, config: "dict[str, object]", *, objective: str,

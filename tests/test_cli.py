@@ -291,6 +291,20 @@ class TestUserErrors:
          "No such file or directory\n"),
         (["controlplane-sim", "--cold-start", "-1"],
          "error: cold_start_s must be non-negative, got -1.0\n"),
+        # Unreadable inputs and an unwritable --output name the path.
+        (["serve-sim", "--trace-file", "/nonexist.json"],
+         "error: cannot read trace /nonexist.json: No such file or "
+         "directory\n"),
+        (["serve-sim", "--rate", "1", "--duration", "1",
+          "--output", "/nonexistent/dir/x.json"],
+         "error: cannot write /nonexistent/dir/x.json: No such file or "
+         "directory\n"),
+        (["serve-sim", "--model-json", "/nonexist.json"],
+         "error: cannot read model config /nonexist.json: No such file "
+         "or directory\n"),
+        (["simulate", "--model-json", "/nonexist.json"],
+         "error: cannot read model config /nonexist.json: No such file "
+         "or directory\n"),
     ])
     def test_one_line_error_and_exit_code(self, capsys, argv, message):
         assert main(argv) == 2

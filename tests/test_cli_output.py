@@ -171,8 +171,9 @@ class TestSeq2Seq:
 
 class TestMoESpecDecodeCLI:
     """MoE and speculative-decoding scenarios through the CLI, plus
-    their degeneracy guarantees: disabled knobs reproduce the dense
-    reports byte-for-byte."""
+    their degeneracy guarantees: a degenerate MoE reproduces the dense
+    report byte-for-byte, and speculation knobs without a draft model
+    are rejected."""
 
     BASE = ("serve-sim", "--rate", "2", "--duration", "3",
             "--seed", "0", "--plans", "baseline,sdf")
@@ -190,12 +191,16 @@ class TestMoESpecDecodeCLI:
                       "--top-k", "1", "--json")
         assert moe == dense
 
-    def test_disabled_speculation_is_byte_identical(self, capsys):
-        dense = run_cli(capsys, *self.BASE, "--json")
-        spec = run_cli(capsys, *self.BASE, "--draft-len", "8",
-                       "--accept-rate", "0.5", "--json")
-        # draft_len/accept_rate without --draft-model stay inert.
-        assert spec == dense
+    def test_speculation_knobs_without_draft_model_are_rejected(
+            self, capsys):
+        # draft_len/accept_rate without --draft-model would change
+        # nothing, so the flag table rejects them.
+        assert main([*self.BASE, "--draft-len", "8", "--accept-rate",
+                     "0.5", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --draft-len applies only with "
+                                "--draft-model\n")
 
     def test_speculation_changes_the_schedule(self, capsys):
         dense = json.loads(run_cli(capsys, *self.BASE, "--json"))

@@ -19,32 +19,28 @@ from repro.common.scenario import (
     ScenarioSpec,
     ShardingSpec,
     WorkloadSpec,
-    add_sharding_args,
-    add_workload_args,
-    scenario_from_args,
+    add_flags,
 )
 
 
-def parse(argv, *, sharding=False):
+def parse(argv, *, command="serve-sim"):
     parser = argparse.ArgumentParser()
-    add_workload_args(parser)
-    if sharding:
-        add_sharding_args(parser)
+    add_flags(parser, command)
     return parser.parse_args(argv)
 
 
 class TestConstruction:
     def test_defaults_match_cli_defaults(self):
-        spec = scenario_from_args(parse([], sharding=True))
+        spec = ScenarioSpec.from_args(parse([], command="cluster-sim"))
         assert spec == ScenarioSpec()
 
     def test_from_args_reads_flags(self):
-        spec = scenario_from_args(parse(
+        spec = ScenarioSpec.from_args(parse(
             ["--model", "gpt-neo-1.3b", "--gpu", "T4", "--rate", "2",
              "--duration", "5", "--seed", "3", "--arrival", "mmpp",
              "--plans", "baseline, sd ,sdf", "--chunk-tokens", "256",
              "--tp", "2", "--policy", "prefix-affinity"],
-            sharding=True))
+            command="cluster-sim"))
         assert spec.model == "gpt-neo-1.3b"
         assert spec.gpu == "T4"
         assert spec.workload.rate == 2.0
@@ -59,7 +55,7 @@ class TestConstruction:
     def test_from_args_tolerates_missing_attrs(self):
         """serve-sim namespaces carry no sharding flags; the spec falls
         back to the sharding defaults."""
-        spec = scenario_from_args(parse([]))
+        spec = ScenarioSpec.from_args(parse([]))
         assert spec.sharding == ShardingSpec()
 
     def test_frozen(self):
