@@ -206,11 +206,15 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     from repro.workloads.sweep import SweepPoint, SweepRunner
 
     values = _int_list("--values", args.values)
+    swept = args.axis.replace("-", "_")
+    if getattr(args, swept) != getattr(ScenarioSpec().workload, swept):
+        raise ConfigError(f"--{args.axis} is the swept axis; give its "
+                          f"values with --values")
     model = ScenarioSpec.from_args(args).resolve_model()
     points = []
     for value in values:
         kwargs = dict(seq_len=args.seq_len, batch=args.batch)
-        kwargs["seq_len" if args.axis == "seq-len" else "batch"] = value
+        kwargs[swept] = value
         for plan in ("baseline", "sdf"):
             points.append(SweepPoint.make(
                 model, gpu=args.gpu, plan=plan, **kwargs,
@@ -229,7 +233,8 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         })
     text = render_table([args.axis, "baseline latency", "SDF speedup"], rows)
     payload = result_dict(
-        "sweep", model=args.model, gpu=args.gpu, axis=args.axis,
+        "sweep", model=getattr(model, "name", model), gpu=args.gpu,
+        axis=args.axis,
         points=point_docs,
     )
     return emit(payload, text, args)

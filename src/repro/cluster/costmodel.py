@@ -20,7 +20,8 @@ Pipeline stages run the same step back to back for a single request
 stream (inference, no microbatch overlap across requests in one engine
 step), so compute time is unchanged by ``pp``; only the boundary
 transfers are added.  Communication is a pure function of the step's
-total token count, so it memoizes just like the compute side.
+total token count, so it memoizes just like the compute side, in a
+table every replica of one configuration shares.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.gpu.interconnect import (
     alltoall_time,
     point_to_point_time,
 )
+from repro.gpu.simcache import cost_tables
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.serving.costmodel import StepCostModel
@@ -75,7 +77,9 @@ class ShardedStepCostModel(StepCostModel):
         # Validate the algorithm (and the sharding) eagerly, not on the
         # millionth step.
         allreduce_time(interconnect, 1, tp, algorithm=algorithm)
-        self._comm_cache: dict[int, float] = {}
+        # ``tp`` and ``ep`` are already in the compute tables' key.
+        self._comm_cache: dict[int, float] = cost_tables.setdefault(
+            (self._tables_key, pp, interconnect, algorithm), {})
         #: A one-GPU group has no collectives: its steps cost exactly
         #: their compute, so pricing skips the communication lookup.
         self._solo = self.n_gpus == 1

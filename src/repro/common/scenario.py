@@ -496,6 +496,17 @@ _SERVING = Condition(lambda run: run.simulator != "inference",
 _SERVING_OR_TUNE = Condition(
     lambda run: run.simulator != "inference" or run.command == "tune",
     _SERVING.text)
+#: A replayed trace alone drives the request stream.  The control plane
+#: still draws its tiers and random faults from ``--seed`` over
+#: ``--duration``, and ``tune`` seeds its search with ``--seed``.
+_SYNTHETIC = Condition(lambda run: run.spec.workload.trace_file is None,
+                       "without --trace-file")
+_SYNTHETIC_OR_CONTROL = Condition(
+    lambda run: _SYNTHETIC.test(run) or run.simulator == "controlplane",
+    _SYNTHETIC.text)
+_SEEDED = Condition(
+    lambda run: _SYNTHETIC_OR_CONTROL.test(run) or run.command == "tune",
+    _SYNTHETIC.text)
 _NO_MODEL_JSON = Condition(lambda run: run.spec.model_json is None,
                            "without --model-json")
 _MMPP = Condition(lambda run: run.spec.arrival.kind == "mmpp",
@@ -612,29 +623,32 @@ FLAGS: "tuple[Flag, ...]" = (
          "use --plans)", when=(_ONE_INFERENCE,)),
     # -- request stream
     Flag("--rate", "spec.workload.rate", _SERVE,
-         "Poisson arrival rate, requests/second", float, when=(_SERVING,)),
+         "Poisson arrival rate, requests/second", float,
+         when=(_SERVING, _SYNTHETIC)),
     Flag("--duration", "spec.workload.duration", _SERVE,
          "arrival-window length, seconds (the run continues until every "
-         "request drains)", float, when=(_SERVING,)),
+         "request drains)", float, when=(_SERVING, _SYNTHETIC_OR_CONTROL)),
     Flag("--seed", "spec.workload.seed", _SERVE,
          "workload seed (tune: also the search seed)", int,
-         when=(_SERVING_OR_TUNE,)),
+         when=(_SERVING_OR_TUNE, _SEEDED)),
     Flag("--arrival", "spec.arrival.kind", _SERVE,
          "arrival process; default keeps the legacy Poisson stream "
          "(mmpp: bursty two-state; diurnal: day-curve thinning)",
-         choices=("poisson", "mmpp", "diurnal"), when=(_SERVING,)),
+         choices=("poisson", "mmpp", "diurnal"),
+         when=(_SERVING, _SYNTHETIC)),
     Flag("--burst-rate", "spec.arrival.burst_rate", _SERVE,
          "mmpp burst-state rate, req/s (default 4x --rate)", float,
-         when=(_SERVING, _MMPP)),
+         when=(_SERVING, _SYNTHETIC, _MMPP)),
     Flag("--base-dwell", "spec.arrival.base_dwell", _SERVE,
          "mmpp mean base-state dwell, seconds", float,
-         when=(_SERVING, _MMPP)),
+         when=(_SERVING, _SYNTHETIC, _MMPP)),
     Flag("--burst-dwell", "spec.arrival.burst_dwell", _SERVE,
          "mmpp mean burst-state dwell, seconds", float,
-         when=(_SERVING, _MMPP)),
+         when=(_SERVING, _SYNTHETIC, _MMPP)),
     Flag("--period", "spec.arrival.period", _SERVE,
          "diurnal day-curve period, seconds (default: --duration, i.e. "
-         "one compressed day per run)", float, when=(_SERVING, _DIURNAL)),
+         "one compressed day per run)", float,
+         when=(_SERVING, _SYNTHETIC, _DIURNAL)),
     Flag("--trace-file", "spec.workload.trace_file", _SERVE,
          "JSONL request trace to replay instead of the synthetic "
          "Poisson workload", when=(_SERVING,)),

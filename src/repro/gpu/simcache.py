@@ -19,7 +19,13 @@ thesis (do the reduction once, reuse it everywhere):
   returning deep-frozen :class:`~repro.models.runtime.InferenceResult`
   objects (their profiles reject further mutation);
 - a **step cache** keyed by the shape and plan of one generation step,
-  returning the tuple of attention kernels its pass pipeline builds.
+  returning the tuple of attention kernels its pass pipeline builds;
+- **cost tables** keyed by a serving cost model's full configuration,
+  holding the per-step price dicts every
+  :class:`~repro.serving.costmodel.StepCostModel` of that
+  configuration binds (a cold-started replica prices no shape twice);
+- a **layout cache** keyed by ``(AttentionSpec, seq_len, seed)``,
+  returning read-only block-sparse layouts.
 
 All caches expose hit/miss counters (:func:`stats`), explicit
 invalidation (:func:`invalidate`), and an escape hatch: set the
@@ -111,6 +117,16 @@ class SimCache:
         if caching_enabled():
             self._entries[key] = value
 
+    def setdefault(self, key: Hashable, default: Any) -> Any:
+        """The cached value for ``key``; on a miss, store ``default``
+        and return it (so while disabled, ``default`` is returned and
+        nothing is stored)."""
+        value = self.get(key, MISSING)
+        if value is MISSING:
+            self.put(key, default)
+            return default
+        return value
+
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         self._entries.clear()
@@ -139,7 +155,17 @@ simulate_cache = SimCache("simulate")
 #: of one configuration prices the same step shapes).
 step_cache = SimCache("step")
 
-_ALL_CACHES = (kernel_cache, simulate_cache, step_cache)
+#: Cost-model configuration -> the step-price dicts its instances share
+#: (:class:`repro.serving.costmodel.StepCostModel` and the collective
+#: table of :class:`repro.cluster.costmodel.ShardedStepCostModel`).
+cost_tables = SimCache("cost")
+
+#: ``(AttentionSpec, seq_len, seed)`` -> read-only block-sparse layout
+#: behind :meth:`repro.models.config.AttentionSpec.layout`.
+layout_cache = SimCache("layout")
+
+_ALL_CACHES = (kernel_cache, simulate_cache, step_cache, cost_tables,
+               layout_cache)
 
 
 def invalidate() -> None:

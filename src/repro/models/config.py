@@ -24,6 +24,7 @@ from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.common.validation import require_divisible, require_positive
+from repro.gpu.simcache import MISSING, layout_cache
 from repro.sparse.layout import BlockSparseLayout
 from repro.sparse.patterns import (
     bigbird_layout,
@@ -76,7 +77,24 @@ class AttentionSpec:
         )
 
     def layout(self, seq_len: int, *, seed: int = 0) -> Optional[BlockSparseLayout]:
-        """The block-sparse layout for ``seq_len``, or None if dense."""
+        """The block-sparse layout for ``seq_len``, or None if dense.
+
+        Memoized in :data:`repro.gpu.simcache.layout_cache`; the
+        returned layout is shared, so its arrays are read-only (edit a
+        ``.copy()`` of ``mask``).
+        """
+        if not self.is_sparse:
+            return None
+        key = (self, seq_len, seed)
+        layout = layout_cache.get(key, MISSING)
+        if layout is MISSING:
+            layout = self._build_layout(seq_len, seed)
+            for array in (layout.mask, layout.block_rows, layout.block_cols):
+                array.flags.writeable = False
+            layout_cache.put(key, layout)
+        return layout
+
+    def _build_layout(self, seq_len: int, seed: int) -> BlockSparseLayout:
         if self.kind is AttentionKind.BIGBIRD:
             return bigbird_layout(
                 seq_len,
@@ -93,11 +111,9 @@ class AttentionSpec:
                 window=self.window,
                 global_blocks=self.global_blocks,
             )
-        if self.kind is AttentionKind.LOCAL_CAUSAL:
-            return gpt_neo_local_layout(
-                seq_len, self.block_size, window=self.window
-            )
-        return None
+        return gpt_neo_local_layout(
+            seq_len, self.block_size, window=self.window
+        )
 
 
 @dataclass(frozen=True)

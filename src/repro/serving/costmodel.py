@@ -12,7 +12,9 @@ where ``M`` is the step's total token count.  Both components come
 from the same kernels :class:`~repro.models.generation.GenerationSession`
 simulates — the serving layer adds no new timing model, only the
 composition — and both are memoized, because a simulation replays the
-same shapes millions of times.  Decode KV lengths are bucketed up to
+same shapes millions of times.  The memo tables live in
+:data:`repro.gpu.simcache.cost_tables`, shared by every cost model of
+one configuration.  Decode KV lengths are bucketed up to
 the KV block size before lookup: the cache is read at block
 granularity, so the padded length is what the kernel actually streams.
 """
@@ -23,6 +25,7 @@ from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
 from repro.gpu.device import Device
+from repro.gpu.simcache import cost_tables
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.models.generation import (
@@ -97,8 +100,13 @@ class StepCostModel:
             (layer_of_spec[spec], count)
             for spec, count in self.model.unique_layer_specs()
         ]
-        self._mlp_cache: dict[int, float] = {}
-        self._attn_cache: dict[tuple[int, int, int], float] = {}
+        # Every instance of one configuration prices the same shapes to
+        # the same floats, so all of them share one (mlp, attention)
+        # table pair: a cold-started replica reuses its peers' prices.
+        self._tables_key = (self.model, self.gpu, self.plan, dtype, t,
+                            kv_bucket, tp_shards, ep_shards)
+        self._mlp_cache, self._attn_cache = cost_tables.setdefault(
+            self._tables_key, ({}, {}))
 
     def _simulate(self, kernels) -> float:
         self._device.reset()

@@ -126,6 +126,19 @@ class TestCLI:
                       "--seq-len", "2048")
         assert "BigBird-large" in out
 
+    def test_sweep_model_json_reports_its_name(self, capsys, tmp_path):
+        import dataclasses
+
+        from repro.models import BERT_LARGE
+        from repro.models.serialization import config_to_json
+
+        path = tmp_path / "model.json"
+        path.write_text(config_to_json(dataclasses.replace(
+            BERT_LARGE, name="bert-2l", num_layers=2)))
+        out = run_cli(capsys, "sweep", "--model-json", str(path),
+                      "--values", "512", "--json")
+        assert json.loads(out)["model"] == "bert-2l"
+
     def test_parallel(self, capsys):
         out = run_cli(capsys, "parallel", "--model", "bert-large",
                       "--seq-len", "2048")
@@ -213,6 +226,32 @@ class TestCLI:
         assert plan["arrived"] == 2
         assert plan["finished"] == 2
         assert report["arrival"] == {"kind": "trace"}
+
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--rate", "3"), ("--arrival", "mmpp"), ("--duration", "5"),
+        ("--seed", "1")])
+    def test_trace_replay_rejects_stream_flags(self, capsys, tmp_path,
+                                               command, flag, value):
+        """A replayed trace alone drives serve-sim and cluster-sim."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"arrival_time": 0.0, "prompt_len": 256, "output_len": 8}\n')
+        assert main([command, "--trace-file", str(path), flag, value]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {flag} applies only without --trace-file\n"
+
+    def test_controlplane_trace_replay_keeps_seed(self, capsys, tmp_path):
+        """The control plane draws tiers from --seed, trace or not."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(
+            f'{{"arrival_time": {0.1 * i}, "prompt_len": 256, '
+            f'"output_len": 8}}\n' for i in range(8)))
+        argv = ("controlplane-sim", "--trace-file", str(path),
+                "--duration", "2", "--json")
+        seeded = json.loads(run_cli(capsys, *argv, "--seed", "1"))
+        assert seeded["seed"] == 1 and seeded["duration_s"] == 2.0
+        assert seeded["plans"]["sdf"]["arrived"] == 8
 
     def test_controlplane_sim_engine_modes_agree(self, capsys):
         argv = ("controlplane-sim", "--arrival", "mmpp", "--rate", "2",
@@ -305,6 +344,13 @@ class TestUserErrors:
         (["simulate", "--model-json", "/nonexist.json"],
          "error: cannot read model config /nonexist.json: No such file "
          "or directory\n"),
+        # The swept axis takes its values from --values only.
+        (["sweep", "--axis", "seq-len", "--seq-len", "2048"],
+         "error: --seq-len is the swept axis; give its values with "
+         "--values\n"),
+        (["sweep", "--axis", "batch", "--batch", "8"],
+         "error: --batch is the swept axis; give its values with "
+         "--values\n"),
     ])
     def test_one_line_error_and_exit_code(self, capsys, argv, message):
         assert main(argv) == 2

@@ -26,7 +26,7 @@ FAST_ARGS = {
     "compare": ["--seq-len", "512"],
     "breakdown": ["--seq-len", "512"],
     "libraries": ["--seq-len", "512"],
-    "sweep": ["--values", "512,1024", "--seq-len", "512"],
+    "sweep": ["--values", "512,1024"],
     "generate": ["--tokens", "4", "--seq-len", "512"],
     "trace": ["--seq-len", "512"],
     "parallel": ["--seq-len", "512"],

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.common.dtypes import DType
 from repro.common.errors import DeviceError
 from repro.gpu import simcache
 from repro.gpu.costmodel import time_kernel
 from repro.gpu.specs import get_gpu
 from repro.kernels.matmul import MatMulKernel
 from repro.models.runtime import InferenceSession
+from repro.serving.costmodel import StepCostModel
 
 
 @pytest.fixture(autouse=True)
@@ -135,6 +137,143 @@ class TestSimulateCache:
         assert np.isclose(on.offchip_energy, off.offchip_energy, rtol=0)
 
 
+class TestCostTables:
+    """Cost models of one configuration share their step-price tables."""
+
+    BASE = dict(plan="sdf", dtype=DType.FP16, t=64, kv_bucket=64,
+                tp_shards=1, ep_shards=1)
+
+    @staticmethod
+    def _moe():
+        from repro.models.config import get_model
+        from repro.models.moe import moe_overrides
+
+        return moe_overrides(get_model("bert-large"), n_experts=4, top_k=2)
+
+    def _tables(self, model=None, **change):
+        cost = StepCostModel(model or self._moe(), "a100",
+                             **{**self.BASE, **change})
+        return cost._mlp_cache, cost._attn_cache
+
+    def test_one_configuration_shares_tables(self):
+        first, second = self._tables(), self._tables()
+        assert all(a is b for a, b in zip(first, second))
+        assert len(simcache.cost_tables) == 1
+        assert simcache.stats()["cost"].hits == 1
+
+    @pytest.mark.parametrize("change", [
+        {"plan": "baseline"}, {"dtype": DType.FP32}, {"t": 128},
+        {"kv_bucket": 128}, {"tp_shards": 2}, {"ep_shards": 2},
+    ], ids=lambda change: next(iter(change)))
+    def test_each_key_field_separates_tables(self, change):
+        base, changed = self._tables(), self._tables(**change)
+        assert not any(a is b for a, b in zip(base, changed))
+
+    def test_model_separates_tables(self):
+        from repro.models.config import get_model
+
+        base = self._tables()
+        dense = self._tables(model=get_model("bert-large"))
+        assert not any(a is b for a, b in zip(base, dense))
+
+    def test_prices_are_shared(self):
+        first = StepCostModel("bert-large", "a100", plan="sdf")
+        time = first.step_time(prefill=[(512, 512)], decode_kv=[100])
+        second = StepCostModel("bert-large", "a100", plan="sdf")
+        assert second.cache_sizes() == first.cache_sizes() != (0, 0)
+        assert second.step_time(prefill=[(512, 512)],
+                                decode_kv=[100]) == time
+
+    @staticmethod
+    def _sharded(**change):
+        from repro.cluster.costmodel import ShardedStepCostModel
+        from repro.gpu.interconnect import NVLINK3
+
+        kwargs = dict(plan="sdf", tp=2, pp=1, interconnect=NVLINK3,
+                      algorithm="ring")
+        return ShardedStepCostModel("bert-large", "a100",
+                                    **{**kwargs, **change})
+
+    def test_sharded_comm_table_shared(self):
+        first, second = self._sharded(), self._sharded()
+        assert first._comm_cache is second._comm_cache
+        assert first._attn_cache is second._attn_cache
+
+    @pytest.mark.parametrize("change", ["pp", "interconnect", "algorithm"])
+    def test_sharded_key_fields_separate_comm_tables(self, change):
+        from repro.gpu.interconnect import PCIE4
+
+        value = {"pp": 2, "interconnect": PCIE4, "algorithm": "tree"}
+        base, changed = self._sharded(), self._sharded(
+            **{change: value[change]})
+        assert base._comm_cache is not changed._comm_cache
+        # Collectives do not touch compute: those tables stay shared.
+        assert base._attn_cache is changed._attn_cache
+
+    def test_sharded_and_plain_share_compute_tables(self):
+        sharded = self._sharded(tp=1)
+        plain = StepCostModel("bert-large", "a100", plan="sdf")
+        assert plain._attn_cache is sharded._attn_cache
+
+    def test_disabled_gives_fresh_tables(self, monkeypatch):
+        monkeypatch.setenv(simcache.ENV_VAR, "0")
+        first, second = self._tables(), self._tables()
+        assert not any(a is b for a, b in zip(first, second))
+        assert len(simcache.cost_tables) == 0
+
+
+class TestLayoutCache:
+    @staticmethod
+    def _spec():
+        from repro.models.config import get_model
+
+        return get_model("bigbird-large").layer_attention(0)
+
+    def test_hit_returns_same_layout(self):
+        spec = self._spec()
+        layout = spec.layout(1024)
+        assert spec.layout(1024) is layout
+        assert spec.layout(1024, seed=1) is not layout
+        assert spec.layout(2048) is not layout
+        stats = simcache.stats()["layout"]
+        assert (stats.hits, stats.misses) == (1, 3)
+
+    def test_cached_layout_is_read_only(self):
+        layout = self._spec().layout(1024)
+        for array in (layout.mask, layout.block_rows, layout.block_cols):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        edited = layout.mask.copy()
+        edited[0, 0] = False
+        assert layout.mask[0, 0]
+
+    def test_disabled_matches_enabled(self, monkeypatch):
+        cached = self._spec().layout(1024)
+        monkeypatch.setenv(simcache.ENV_VAR, "0")
+        fresh = self._spec().layout(1024)
+        assert fresh is not cached
+        assert np.array_equal(fresh.mask, cached.mask)
+
+    def test_dense_has_no_layout(self):
+        from repro.models.config import get_model
+
+        assert get_model("bert-large").layer_attention(0).layout(1024) \
+            is None
+        assert len(simcache.layout_cache) == 0
+
+
+class TestInvalidate:
+    def test_empties_cost_and_layout(self):
+        StepCostModel("bert-large", "a100")
+        TestLayoutCache._spec().layout(1024)
+        assert len(simcache.cost_tables) and len(simcache.layout_cache)
+        assert {"cost", "layout"} <= set(simcache.stats())
+        simcache.invalidate()
+        assert len(simcache.cost_tables) == len(simcache.layout_cache) == 0
+        assert simcache.stats()["cost"].lookups == 0
+        assert simcache.stats()["layout"].lookups == 0
+
+
 class TestSentinel:
     """``SimCache.get`` must distinguish absence from cached falsy
     values with its private sentinel, never with ``None`` comparison."""
@@ -221,8 +360,33 @@ class TestWorkloadEquivalence:
         ).run()
         return [report.bucket_latency[k] for k in sorted(report.bucket_latency)]
 
-    @pytest.mark.parametrize("workload", ["_fig9a_sweep", "_driver"],
-                             ids=["fig9a-sweep", "triviaqa-driver"])
+    @staticmethod
+    def _controlplane(jobs):
+        """A bursty autoscaled fleet with a death: its cold-started
+        replicas price steps through the shared cost tables.  (The
+        control plane runs in one process; ``jobs`` does not apply.)"""
+        from repro.controlplane import (
+            AutoscalerConfig,
+            FailureSchedule,
+            simulate_controlplane,
+        )
+        from repro.serving import make_arrival
+
+        report = simulate_controlplane(
+            "bert-large", "a100", rate=2.0, duration=6.0, seed=0,
+            arrival=make_arrival("mmpp", rate=2.0, burst_rate=10.0),
+            replicas=2, autoscaler=AutoscalerConfig(),
+            faults=FailureSchedule(deaths=(1.5,)),
+        ).to_dict()
+        control = report["plans"]["sdf"]["controlplane"]
+        assert control["cold_starts"] > 0
+        assert [f["kind"] for f in control["faults"]] == ["death"]
+        return report
+
+    @pytest.mark.parametrize("workload",
+                             ["_fig9a_sweep", "_driver", "_controlplane"],
+                             ids=["fig9a-sweep", "triviaqa-driver",
+                                  "controlplane"])
     def test_cache_off_serial_equals_cache_on_parallel(self, monkeypatch,
                                                        workload):
         run = getattr(self, workload)
