@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast paper verify verify-fuzz lint cluster-smoke \
 	controlplane-smoke trace-smoke approx-smoke tune-smoke moe-smoke \
-	examples-smoke
+	examples-smoke simbench-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -70,6 +70,22 @@ examples-smoke:
 		echo "$$example"; \
 		$(PYTHON) -W error::DeprecationWarning $$example >/dev/null \
 			|| exit 1; \
+	done
+
+# The simulators' benchmark outputs: each simulation workload at both
+# reference seeds must report "correct": true on its last line (its
+# reports match simbench/reference).  Pins plain serve-sim output,
+# which no golden file covers.
+simbench-check:
+	@for workload in serve-saturated cluster-decode fleet-bursty; do \
+		for seed in 0 7; do \
+			echo "simbench $$workload seed $$seed"; \
+			$(PYTHON) simbench/run.py --workload $$workload \
+				--seed $$seed --seconds 1 | tail -n 1 \
+			| $(PYTHON) -c "import json, sys; \
+				doc = json.loads(sys.stdin.read()); \
+				assert doc['correct'] is True, doc" || exit 1; \
+		done; \
 	done
 
 verify:

@@ -9,6 +9,7 @@ load and what the TP/PP collectives cost each replica.
 from __future__ import annotations
 
 from repro.analysis.reporting import render_table
+from repro.analysis.serving import stream_phrase
 from repro.cluster.metrics import ClusterReport
 
 
@@ -33,9 +34,7 @@ def render_cluster_comparison(report: ClusterReport) -> str:
     header = (
         f"{report.model} on {report.replicas}x {report.tp}x{report.pp} "
         f"{report.gpu} ({report.interconnect}, {report.algorithm} "
-        f"allreduce, {report.policy} routing) — rate {report.rate:g} "
-        f"req/s for {report.duration:g}s (seed {report.seed}, "
-        f"{report.num_requests} requests)"
+        f"allreduce, {report.policy} routing) — {stream_phrase(report)}"
     )
     lines = [header, "", aggregate]
 

@@ -14,6 +14,15 @@ from repro.analysis.reporting import render_table
 from repro.serving.metrics import ServingReport
 
 
+def stream_phrase(report) -> str:
+    """How a serve-sim or cluster-sim report's header names its stream:
+    the synthetic rate, window and seed, or a trace replay."""
+    if report.rate is None:
+        return f"trace replay of {report.num_requests} requests"
+    return (f"rate {report.rate:g} req/s for {report.duration:g}s "
+            f"(seed {report.seed}, {report.num_requests} requests)")
+
+
 def render_serving_comparison(report: ServingReport) -> str:
     """Side-by-side plan comparison of one ``serve-sim`` run."""
     rows = []
@@ -33,11 +42,7 @@ def render_serving_comparison(report: ServingReport) -> str:
          "E2E p99", "tokens/s", "preempt", "KV peak"],
         rows,
     )
-    header = (
-        f"{report.model} on {report.gpu} — rate {report.rate:g} req/s "
-        f"for {report.duration:g}s (seed {report.seed}, "
-        f"{report.num_requests} requests)"
-    )
+    header = f"{report.model} on {report.gpu} — {stream_phrase(report)}"
     lines = [header, "", table]
     if "baseline" in report.plans and "sdf" in report.plans:
         lines += ["", f"serving throughput, sdf over baseline: "

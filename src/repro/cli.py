@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import sys
 
@@ -303,7 +304,6 @@ def cmd_trace(args: argparse.Namespace) -> str:
         from repro.analysis.controlplane import \
             render_controlplane_comparison
         from repro.controlplane import AutoscalerConfig, FailureSchedule
-        from repro.serving import MMPPArrivals
 
         # A demo scenario that exercises every control-plane instant:
         # bursty arrivals push the autoscaler up and down, one death at
@@ -752,7 +752,15 @@ def main(argv: "list[str] | None" = None) -> int:
     except ReproError as error:
         print("error: " + " ".join(str(error).split()), file=sys.stderr)
         return 2
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``): point stdout at
+        # devnull so the interpreter's exit-time flush cannot raise
+        # again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return getattr(args, "_exit_code", 0)
 
 

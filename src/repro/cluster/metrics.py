@@ -169,9 +169,11 @@ class ClusterReport:
 
     model: str
     gpu: str
-    rate: float
-    duration: float
-    seed: int
+    #: The synthetic stream's rate, duration and seed; ``None`` for a
+    #: trace replay, which has none.
+    rate: "float | None"
+    duration: "float | None"
+    seed: "int | None"
     replicas: int
     tp: int
     pp: int
@@ -183,21 +185,18 @@ class ClusterReport:
     #: Full-trace summary (all plans, metrics included); ``None`` when
     #: the run was not traced.
     trace_summary: "dict | None" = None
-    #: Arrival-process parameters (``ArrivalProcess.describe()``);
-    #: ``None`` for the default stationary Poisson stream, keeping
-    #: historical serialized output byte-identical.
+    #: Arrival-process parameters (``ArrivalProcess.describe()``, or
+    #: ``{"kind": "trace"}`` for a replay); ``None`` for the default
+    #: stationary Poisson stream, keeping historical serialized output
+    #: byte-identical.
     arrival: "dict | None" = None
 
     def to_dict(self) -> "dict[str, object]":
-        """Versioned JSON-ready document (``repro.result/v1``)."""
+        """Versioned JSON-ready document (``repro.result/v1``); fields
+        that are ``None`` are left out."""
         from repro.common.results import result_dict
 
-        extra = ({"trace_summary": self.trace_summary}
-                 if self.trace_summary is not None else {})
-        if self.arrival is not None:
-            extra["arrival"] = self.arrival
-        return result_dict(
-            "cluster-report",
+        fields = dict(
             model=self.model,
             gpu=self.gpu,
             rate=self.rate,
@@ -212,8 +211,12 @@ class ClusterReport:
             num_requests=self.num_requests,
             plans={name: report.to_dict()
                    for name, report in self.plans.items()},
-            **extra,
+            trace_summary=self.trace_summary,
+            arrival=self.arrival,
         )
+        return result_dict("cluster-report", **{
+            key: value for key, value in fields.items()
+            if value is not None})
 
     def speedup(self, baseline: str = "baseline",
                 candidate: str = "sdf") -> float:

@@ -20,16 +20,17 @@ for the requests currently resident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.common.dtypes import DType
+from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
 from repro.gpu.interconnect import InterconnectSpec, NVLINK3
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.models.footprint import weight_bytes
 from repro.obs.tracer import NULL_TRACER
-from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
+from repro.serving.engine import DEFAULT_MAX_EPOCH, ENGINE_MODES, EpochEngine
 from repro.serving.memory import KVBlockManager, MemoryStats
 from repro.serving.metrics import LatencyAccumulator
 from repro.serving.requests import Request
@@ -69,8 +70,46 @@ class ReplicaOutcome:
     requests: "list[Request] | None"
 
 
+@dataclass(frozen=True)
+class ReplicaConfig:
+    """A replica's engine and sharding settings: the one declaration of
+    the keywords, defaults and checks that every simulator forwards to
+    its replicas as ``**replica_kwargs``."""
+
+    dtype: DType = DType.FP16
+    tp: int = 1
+    pp: int = 1
+    ep: int = 1
+    interconnect: InterconnectSpec = NVLINK3
+    algorithm: str = "ring"
+    chunk_tokens: int = 512
+    max_batch: int = 32
+    block_tokens: int = 64
+    reserve_fraction: float = 0.1
+    t: int = 64
+    engine: str = "epoch"
+    max_epoch: int = DEFAULT_MAX_EPOCH
+    draft_model: "ModelConfig | str | None" = None
+    draft_len: int = 4
+    accept_rate: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINE_MODES:
+            raise ServingError(
+                f"engine must be one of {ENGINE_MODES}, got {self.engine!r}"
+            )
+
+    @classmethod
+    def among(cls, kwargs: "dict[str, object]") -> "ReplicaConfig":
+        """The config the replica keywords among ``kwargs`` set; the
+        other keys are the caller's."""
+        names = {field.name for field in fields(cls)}
+        return cls(**{k: v for k, v in kwargs.items() if k in names})
+
+
 class Replica:
-    """One model replica inside a cluster simulation."""
+    """One model replica inside a cluster simulation; ``settings`` are
+    :class:`ReplicaConfig`'s keywords."""
 
     def __init__(
         self,
@@ -79,31 +118,18 @@ class Replica:
         gpu: GPUSpec,
         *,
         plan: "AttentionPlan | str" = AttentionPlan.BASELINE,
-        dtype: DType = DType.FP16,
-        tp: int = 1,
-        pp: int = 1,
-        ep: int = 1,
-        interconnect: InterconnectSpec = NVLINK3,
-        algorithm: str = "ring",
-        chunk_tokens: int = 512,
-        max_batch: int = 32,
-        block_tokens: int = 64,
-        reserve_fraction: float = 0.1,
-        t: int = 64,
         tracer=None,
-        engine: str = "epoch",
-        max_epoch: int = DEFAULT_MAX_EPOCH,
         retain_requests: bool = True,
-        draft_model: "ModelConfig | str | None" = None,
-        draft_len: int = 4,
-        accept_rate: float = 1.0,
+        **settings,
     ) -> None:
         from repro.cluster.costmodel import ShardedStepCostModel
 
+        config = ReplicaConfig(**settings)
         self.replica_id = replica_id
         self.cost = ShardedStepCostModel(
-            model, gpu, plan=plan, dtype=dtype, t=t, tp=tp, pp=pp, ep=ep,
-            interconnect=interconnect, algorithm=algorithm,
+            model, gpu, plan=plan, dtype=config.dtype, t=config.t,
+            tp=config.tp, pp=config.pp, ep=config.ep,
+            interconnect=config.interconnect, algorithm=config.algorithm,
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Trace process name; plan-prefixed so several plans can share
@@ -111,17 +137,19 @@ class Replica:
         self.trace_process = (
             f"{AttentionPlan.from_name(plan).value}:replica{replica_id}")
         self.memory = KVBlockManager.for_model(
-            model, gpu, block_tokens=block_tokens, dtype=dtype,
-            reserve_fraction=reserve_fraction, n_gpus=tp * pp * ep,
+            model, gpu, block_tokens=config.block_tokens,
+            dtype=config.dtype, reserve_fraction=config.reserve_fraction,
+            n_gpus=self.cost.n_gpus,
         )
         self.scheduler = ContinuousBatchingScheduler(
-            self.memory, chunk_tokens=chunk_tokens, max_batch=max_batch,
-            tracer=self.tracer, trace_process=self.trace_process,
+            self.memory, chunk_tokens=config.chunk_tokens,
+            max_batch=config.max_batch, tracer=self.tracer,
+            trace_process=self.trace_process,
         )
         # The draft model is small and replicates across the group, so
         # its per-round cost is priced unsharded on one GPU.
         spec_runtime = None
-        if draft_model is not None:
+        if config.draft_model is not None:
             from repro.models.config import get_model
             from repro.serving.costmodel import StepCostModel
             from repro.serving.specdecode import (
@@ -129,21 +157,22 @@ class Replica:
                 SpecDecodeRuntime,
             )
 
-            config = SpecDecodeConfig(
+            draft_model = config.draft_model
+            spec = SpecDecodeConfig(
                 draft_model=(get_model(draft_model)
                              if isinstance(draft_model, str)
                              else draft_model),
-                draft_len=draft_len,
-                accept_rate=accept_rate,
+                draft_len=config.draft_len,
+                accept_rate=config.accept_rate,
             )
-            spec_runtime = SpecDecodeRuntime(config, StepCostModel(
-                config.draft_model, gpu, plan=self.cost.plan,
-                dtype=dtype, t=t,
+            spec_runtime = SpecDecodeRuntime(spec, StepCostModel(
+                spec.draft_model, gpu, plan=self.cost.plan,
+                dtype=config.dtype, t=config.t,
             ))
         self.engine = EpochEngine(
             cost=self.cost, memory=self.memory, scheduler=self.scheduler,
-            tracer=self.tracer, epoch=engine == "epoch",
-            max_epoch=max_epoch, on_step=self._trace_step,
+            tracer=self.tracer, epoch=config.engine == "epoch",
+            max_epoch=config.max_epoch, on_step=self._trace_step,
             spec_decode=spec_runtime,
         )
         self.retain_requests = retain_requests

@@ -30,25 +30,27 @@ producing the same report.  Above the exact-percentile cutover the
 replicas stream their aggregates instead of retaining per-request
 state, so a million-request cluster run holds O(batch) requests per
 replica and O(1) memory per metric.
+
+Every simulator also shares its intake from here: the constructors'
+:class:`SimulatorIntake` and the ``simulate_*`` functions' per-plan
+loop, :func:`simulate_plans`.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
 
-from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
 from repro.core.plansource import PlanSource, resolve_plan
-from repro.gpu.interconnect import InterconnectSpec, NVLINK3
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.obs.instrument import emit_request_phase_spans
 from repro.obs.tracer import current_tracer
 from repro.cluster.metrics import ClusterPlanReport, ClusterReport
 from repro.cluster.policies import RouterPolicy, make_policy
-from repro.cluster.replica import Replica
-from repro.serving.engine import DEFAULT_MAX_EPOCH, ENGINE_MODES
+from repro.cluster.replica import Replica, ReplicaConfig
+from repro.serving.engine import ENGINE_MODES
 from repro.serving.metrics import EXACT_PERCENTILE_CUTOVER
 from repro.serving.requests import (
     Request,
@@ -125,15 +127,29 @@ def drive(fleet, source, route, *, max_steps: int, timed=None) -> None:
         pending = next(source, None)
 
 
-class ClusterSimulator:
-    """Replay one request stream through a replicated, sharded cluster.
+def drive_one(replica, stream, *, max_steps: int, start: int = 0,
+              stride: int = 1) -> None:
+    """Drive a fleet of one: every ``stride``-th request of ``stream``
+    from ``start`` goes to ``replica`` (serve-sim, each shard of a
+    sharded cluster run)."""
+    drive([replica], fresh_requests(stream, start=start, stride=stride),
+          lambda request: replica, max_steps=max_steps)
 
-    ``run`` operates on private copies of the requests, so one stream
-    can be replayed under several plans and policies.  Pass a
-    :class:`~repro.serving.requests.ServingWorkload` instead of a
-    request list to keep the stream in numpy arrays until each request
-    arrives; with ``jobs > 1`` (round-robin only) replicas simulate in
-    parallel worker processes.
+
+def _device(model: "ModelConfig | str",
+            gpu: "GPUSpec | str") -> "tuple[ModelConfig, GPUSpec]":
+    return (get_model(model) if isinstance(model, str) else model,
+            get_gpu(gpu) if isinstance(gpu, str) else gpu)
+
+
+class SimulatorIntake:
+    """What every serving simulator does before it runs.
+
+    Coerces the model and GPU, resolves the plan exactly once from any
+    spelling (among the plans serving supports), takes the stream
+    (``requests`` or a ``workload``, exactly one), and checks the
+    replica keywords by building the :class:`~repro.cluster.replica
+    .ReplicaConfig` every replica of the run shares.
     """
 
     def __init__(
@@ -141,54 +157,121 @@ class ClusterSimulator:
         model: "ModelConfig | str",
         gpu: "GPUSpec | str",
         *,
-        plan: "PlanSource | AttentionPlan | str | None" = None,
+        plan: "PlanSource | AttentionPlan | str",
         requests: "list[Request] | None" = None,
         workload: "ServingWorkload | None" = None,
-        replicas: int = 2,
-        tp: int = 1,
-        pp: int = 1,
-        ep: int = 1,
-        policy: "str | RouterPolicy" = "round-robin",
-        interconnect: InterconnectSpec = NVLINK3,
-        algorithm: str = "ring",
-        dtype: DType = DType.FP16,
-        chunk_tokens: int = 512,
-        max_batch: int = 32,
-        block_tokens: int = 64,
-        reserve_fraction: float = 0.1,
-        t: int = 64,
         max_steps: int = 2_000_000,
-        engine: str = "epoch",
-        max_epoch: int = DEFAULT_MAX_EPOCH,
+        **replica_kwargs,
+    ) -> None:
+        from repro.serving.costmodel import SUPPORTED_PLANS
+
+        self.config = ReplicaConfig(**replica_kwargs)
+        self.model, self.gpu = _device(model, gpu)
+        self.plan = resolve_plan(plan, model=self.model, gpu=self.gpu,
+                                 t=self.config.t,
+                                 candidates=SUPPORTED_PLANS)
+        self.max_steps = max_steps
+        self._stream = request_stream(requests, workload)
+
+    @property
+    def num_requests(self) -> int:
+        """Size of the stream ``run`` will replay."""
+        return len(self._stream)
+
+    def new_replica(self, replica_id: int, *, cls=Replica, **kwargs):
+        """A fresh ``cls`` replica of this run's model, GPU, plan and
+        config; ``kwargs`` are its run-specific keywords (``tracer``,
+        ``retain_requests``, ...)."""
+        return cls(replica_id, self.model, self.gpu, plan=self.plan,
+                   **kwargs, **vars(self.config))
+
+
+def simulate_plans(
+    simulator,
+    model: "ModelConfig | str",
+    gpu: "GPUSpec | str",
+    *,
+    plans,
+    rate: float,
+    duration: float,
+    seed: int,
+    requests: "list[Request] | None",
+    arrival,
+    prefix_groups: int,
+    **kwargs,
+) -> "dict[str, object]":
+    """Run one stream under every plan: the body of each ``simulate_*``.
+
+    The synthetic stream is sampled once into shared arrays, or
+    ``requests`` is replayed; each plan gets a fresh ``simulator(model,
+    gpu, plan=..., <stream>, **kwargs)``.  Returns the report fields
+    every entry point shares, with the stream's echo: ``rate``,
+    ``duration``, ``seed`` and ``arrival`` (``None`` for the default
+    Poisson stream), or for a replay ``arrival={"kind": "trace"}`` and
+    no synthetic rate, duration or seed.
+    """
+    model, gpu = _device(model, gpu)
+    if requests is None:
+        workload = ServingWorkload(
+            rate=rate, duration=duration, seed=seed,
+            block_tokens=ReplicaConfig.among(kwargs).block_tokens,
+            prefix_groups=prefix_groups, arrival=arrival,
+        )
+        stream = {"workload": workload}
+        num_requests = len(workload.request_arrays())
+        echo = {"rate": rate, "duration": duration, "seed": seed,
+                "arrival": (arrival.describe() if arrival is not None
+                            else None)}
+    else:
+        stream = {"requests": requests}
+        num_requests = len(requests)
+        echo = {"rate": None, "duration": None, "seed": None,
+                "arrival": {"kind": "trace"}}
+    reports = {}
+    for plan in plans:
+        sim = simulator(model, gpu, plan=PlanSource.of(plan), **stream,
+                        **kwargs)
+        reports[sim.plan.value] = sim.run()
+    tracer = current_tracer()
+    return dict(model=model.name, gpu=gpu.name, num_requests=num_requests,
+                plans=reports,
+                trace_summary=tracer.summary() if tracer.enabled else None,
+                **echo)
+
+
+class ClusterSimulator(SimulatorIntake):
+    """Replay one request stream through a replicated, sharded cluster.
+
+    ``run`` operates on private copies of the requests, so one stream
+    can be replayed under several plans and policies.  Pass a
+    :class:`~repro.serving.requests.ServingWorkload` instead of a
+    request list to keep the stream in numpy arrays until each request
+    arrives; with ``jobs > 1`` (round-robin only) replicas simulate in
+    parallel worker processes.  Other keywords are
+    :class:`~repro.cluster.replica.ReplicaConfig`'s (``tp``, ``pp``,
+    ``chunk_tokens``, ``engine``, ...) or ``max_steps``.
+    """
+
+    def __init__(
+        self,
+        model: "ModelConfig | str",
+        gpu: "GPUSpec | str",
+        *,
+        plan: "PlanSource | AttentionPlan | str" = AttentionPlan.BASELINE,
+        replicas: int = 2,
+        policy: "str | RouterPolicy" = "round-robin",
         latency_cutover: int = EXACT_PERCENTILE_CUTOVER,
         jobs: int = 1,
-        draft_model: "ModelConfig | str | None" = None,
-        draft_len: int = 4,
-        accept_rate: float = 1.0,
+        **kwargs,
     ) -> None:
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
-        if engine not in ENGINE_MODES:
-            raise ServingError(
-                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
-            )
         if jobs < 1:
             raise ServingError(f"jobs must be >= 1, got {jobs}")
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        from repro.serving.costmodel import SUPPORTED_PLANS
-
-        self.plan = resolve_plan(
-            AttentionPlan.BASELINE if plan is None else plan,
-            model=self.model, gpu=self.gpu, t=t,
-            candidates=SUPPORTED_PLANS,
-        )
+        super().__init__(model, gpu, plan=plan, **kwargs)
         self.policy_name = (policy.name if isinstance(policy, RouterPolicy)
                             else policy)
         self._policy_arg = policy
-        self.max_steps = max_steps
-        self.engine = engine
-        self.max_epoch = max_epoch
         self.latency_cutover = latency_cutover
         self.jobs = jobs
         if jobs > 1 and self.policy_name != "round-robin":
@@ -196,21 +279,7 @@ class ClusterSimulator:
                 f"policy {self.policy_name!r} reads cross-replica state at "
                 f"every arrival and cannot run sharded; use jobs=1"
             )
-        self._stream = request_stream(requests, workload)
-        self._replica_kwargs = dict(
-            dtype=dtype, tp=tp, pp=pp, ep=ep,
-            interconnect=interconnect, algorithm=algorithm,
-            chunk_tokens=chunk_tokens, max_batch=max_batch,
-            block_tokens=block_tokens, reserve_fraction=reserve_fraction,
-            t=t, draft_model=draft_model, draft_len=draft_len,
-            accept_rate=accept_rate,
-        )
         self.num_replicas = replicas
-
-    @property
-    def num_requests(self) -> int:
-        """Size of the stream ``run`` will replay."""
-        return len(self._stream)
 
     def run(self) -> ClusterPlanReport:
         """Simulate the stream to completion and aggregate metrics."""
@@ -226,11 +295,10 @@ class ClusterSimulator:
 
             outcomes = run_sharded(
                 model=self.model, gpu=self.gpu, plan=self.plan,
-                replica_kwargs=self._replica_kwargs,
-                num_replicas=self.num_replicas,
-                engine=self.engine, max_epoch=self.max_epoch,
-                retain=retain, max_steps=self.max_steps, jobs=self.jobs,
-                stream=self._stream,
+                replica_kwargs=dict(vars(self.config),
+                                    retain_requests=retain),
+                num_replicas=self.num_replicas, max_steps=self.max_steps,
+                jobs=self.jobs, stream=self._stream,
             )
             return ClusterPlanReport.from_outcomes(
                 self.plan.value, self.policy_name, outcomes)
@@ -239,12 +307,9 @@ class ClusterSimulator:
         router_lane = (tracer.track(f"{self.plan.value}:router")
                        if tracer.enabled else (0, 0))
         policy = make_policy(self._policy_arg)
-        replicas = [
-            Replica(i, self.model, self.gpu, plan=self.plan, tracer=tracer,
-                    engine=self.engine, max_epoch=self.max_epoch,
-                    retain_requests=retain, **self._replica_kwargs)
-            for i in range(self.num_replicas)
-        ]
+        replicas = [self.new_replica(i, tracer=tracer,
+                                     retain_requests=retain)
+                    for i in range(self.num_replicas)]
 
         def route(request: Request) -> Replica:
             index = policy.choose(request, replicas)
@@ -293,70 +358,32 @@ def simulate_cluster(
     plans: "tuple[PlanSource | AttentionPlan | str, ...]" = ("baseline",
                                                              "sdf"),
     replicas: int = 2,
-    tp: int = 1,
-    pp: int = 1,
     policy: str = "round-robin",
-    algorithm: str = "ring",
-    interconnect: InterconnectSpec = NVLINK3,
     requests: "list[Request] | None" = None,
     prefix_groups: int = 0,
     arrival=None,
-    **engine_kwargs,
+    **kwargs,
 ) -> ClusterReport:
     """Run one workload through the cluster under several plans.
 
     Each plan replays the *same* request stream with a fresh policy
     instance and fresh replicas, so plan comparisons differ only in
     the attention plan.  Extra keyword arguments reach
-    :class:`ClusterSimulator` (``chunk_tokens``, ``max_batch``,
-    ``engine``, ``jobs``, ...).  Without an explicit request list the
-    synthetic stream is sampled once into shared arrays and every plan
-    replays the same values; an ``arrival`` process
-    (:mod:`repro.serving.arrivals`) replaces the stationary Poisson
-    stream and is echoed into the report.
+    :class:`ClusterSimulator` (``tp``, ``chunk_tokens``, ``engine``,
+    ``jobs``, ...); the stream is built once by :func:`simulate_plans`
+    (``requests`` replays a trace; ``arrival`` replaces the stationary
+    Poisson stream and is echoed into the report).
     """
-    model = get_model(model) if isinstance(model, str) else model
-    gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    workload = None
-    if requests is None:
-        block_tokens = engine_kwargs.get("block_tokens", 64)
-        workload = ServingWorkload(
-            rate=rate, duration=duration, seed=seed,
-            block_tokens=block_tokens, prefix_groups=prefix_groups,
-            arrival=arrival,
-        )
-    reports = {}
-    # Counted from the stream itself so trace-driven runs (and empty
-    # ``plans`` tuples) report the actual loaded request count.
-    if requests is not None:
-        num_requests = len(requests)
-    else:
-        num_requests = len(workload.request_arrays())
-    for plan in plans:
-        sim = ClusterSimulator(
-            model, gpu, plan=PlanSource.of(plan), requests=requests,
-            workload=workload,
-            replicas=replicas, tp=tp, pp=pp, policy=policy,
-            interconnect=interconnect, algorithm=algorithm, **engine_kwargs,
-        )
-        reports[sim.plan.value] = sim.run()
-    tracer = current_tracer()
+    config = ReplicaConfig.among(kwargs)
     return ClusterReport(
-        model=model.name,
-        gpu=gpu.name,
-        rate=rate,
-        duration=duration,
-        seed=seed,
-        replicas=replicas,
-        tp=tp,
-        pp=pp,
+        replicas=replicas, tp=config.tp, pp=config.pp,
         policy=policy if isinstance(policy, str) else policy.name,
-        algorithm=algorithm,
-        interconnect=interconnect.name,
-        num_requests=num_requests,
-        plans=reports,
-        trace_summary=tracer.summary() if tracer.enabled else None,
-        arrival=arrival.describe() if arrival is not None else None,
+        algorithm=config.algorithm, interconnect=config.interconnect.name,
+        **simulate_plans(
+            ClusterSimulator, model, gpu, plans=plans, rate=rate,
+            duration=duration, seed=seed, requests=requests,
+            arrival=arrival, prefix_groups=prefix_groups,
+            replicas=replicas, policy=policy, **kwargs),
     )
 
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from repro.core.plan import AttentionPlan
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
-from repro.serving.engine import DEFAULT_MAX_EPOCH
-from repro.serving.requests import Request, RequestArrays, fresh_requests
+from repro.serving.requests import Request, RequestArrays
 from repro.workloads.sweep import fanout
 
 __all__ = ["ReplicaShard", "simulate_shard", "run_sharded"]
@@ -50,6 +49,9 @@ class ReplicaShard:
     (request templates or columnar arrays) and the worker strides out
     its own share lazily — at fleet scale the arrays pickle as a few
     numpy buffers instead of a million dataclasses.
+    ``replica_kwargs`` are the keywords every replica is built with
+    (its :class:`~repro.cluster.replica.ReplicaConfig` settings and
+    ``retain_requests``).
     """
 
     replica_id: int
@@ -58,9 +60,6 @@ class ReplicaShard:
     gpu: GPUSpec
     plan: AttentionPlan
     replica_kwargs: "dict[str, object]"
-    engine: str
-    max_epoch: int
-    retain: bool
     max_steps: int
     stream: "tuple[Request, ...] | RequestArrays"
 
@@ -74,17 +73,12 @@ def simulate_shard(shard: ReplicaShard):
     :class:`~repro.cluster.replica.ReplicaOutcome`.
     """
     from repro.cluster.replica import Replica
-    from repro.cluster.router import drive
+    from repro.cluster.router import drive_one
 
-    replica = Replica(
-        shard.replica_id, shard.model, shard.gpu, plan=shard.plan,
-        engine=shard.engine, max_epoch=shard.max_epoch,
-        retain_requests=shard.retain, **shard.replica_kwargs,
-    )
-    source = fresh_requests(shard.stream, start=shard.replica_id,
-                            stride=shard.num_replicas)
-    drive([replica], source, lambda request: replica,
-          max_steps=shard.max_steps)
+    replica = Replica(shard.replica_id, shard.model, shard.gpu,
+                      plan=shard.plan, **shard.replica_kwargs)
+    drive_one(replica, shard.stream, max_steps=shard.max_steps,
+              start=shard.replica_id, stride=shard.num_replicas)
     return replica.outcome()
 
 
@@ -95,10 +89,7 @@ def run_sharded(
     plan: AttentionPlan,
     replica_kwargs: "dict[str, object]",
     num_replicas: int,
-    engine: str = "epoch",
-    max_epoch: int = DEFAULT_MAX_EPOCH,
-    retain: bool = True,
-    max_steps: int = 2_000_000,
+    max_steps: int,
     jobs: int = 1,
     stream: "list[Request] | RequestArrays",
 ) -> "list":
@@ -116,10 +107,7 @@ def run_sharded(
             model=model,
             gpu=gpu,
             plan=plan,
-            replica_kwargs=dict(replica_kwargs),
-            engine=engine,
-            max_epoch=max_epoch,
-            retain=retain,
+            replica_kwargs=replica_kwargs,
             max_steps=max_steps,
             stream=stream,
         )

@@ -32,22 +32,21 @@ summary.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.common.validation import require_non_negative
 from repro.core.plan import AttentionPlan
-from repro.core.plansource import PlanSource, resolve_plan
-from repro.gpu.interconnect import NVLINK3, InterconnectSpec
-from repro.gpu.specs import GPUSpec, get_gpu
-from repro.models.config import ModelConfig, get_model
+from repro.core.plansource import PlanSource
+from repro.gpu.specs import GPUSpec
+from repro.models.config import ModelConfig
 from repro.obs.tracer import current_tracer
 from repro.cluster.policies import RouterPolicy, make_policy
 from repro.cluster.replica import Replica
-from repro.cluster.router import drive
+from repro.cluster.router import SimulatorIntake, drive, simulate_plans
 from repro.controlplane.autoscaler import (
     Autoscaler,
     AutoscalerConfig,
@@ -62,14 +61,13 @@ from repro.controlplane.report import (
     TierReport,
 )
 from repro.controlplane.slo import DEFAULT_TIERS, SLOTier, assign_tiers
-from repro.serving.engine import ENGINE_MODES
+from repro.serving.arrivals import PoissonArrivals
 from repro.serving.metrics import per_second, request_block
 from repro.serving.requests import (
     Request,
     RequestStatus,
     ServingWorkload,
     fresh_requests,
-    request_stream,
 )
 
 __all__ = ["ControlledReplica", "ControlPlaneSimulator",
@@ -140,7 +138,7 @@ class ControlledReplica(Replica):
         return residents
 
 
-class ControlPlaneSimulator:
+class ControlPlaneSimulator(SimulatorIntake):
     """One plan's SLO-driven serving run under dynamic fleet control.
 
     Replays a :class:`~repro.serving.requests.ServingWorkload` (any
@@ -151,7 +149,9 @@ class ControlPlaneSimulator:
     ``seed`` (tier assignment and fault victims) defaults to the
     workload's.  A request list's ids must be its stream positions
     ``0..n-1``, as :func:`~repro.serving.requests.load_trace` assigns
-    them.
+    them.  Other keywords are
+    :class:`~repro.cluster.replica.ReplicaConfig`'s (``tp``,
+    ``chunk_tokens``, ``engine``, ...) or ``max_steps``.
     """
 
     def __init__(
@@ -162,7 +162,7 @@ class ControlPlaneSimulator:
         workload: "ServingWorkload | None" = None,
         requests: "list[Request] | None" = None,
         seed: "int | None" = None,
-        plan: "PlanSource | AttentionPlan | str | None" = None,
+        plan: "PlanSource | AttentionPlan | str" = AttentionPlan.RECOMPOSED,
         tiers: "tuple[SLOTier, ...]" = DEFAULT_TIERS,
         replicas: int = 2,
         autoscaler: "AutoscalerConfig | None" = None,
@@ -174,22 +174,7 @@ class ControlPlaneSimulator:
         #: shed last.  0 disables shedding.
         shed_backlog_tokens: float = 0.0,
         cold_start_s: "float | None" = None,
-        tp: int = 1,
-        pp: int = 1,
-        ep: int = 1,
-        dtype: DType = DType.FP16,
-        interconnect: InterconnectSpec = NVLINK3,
-        algorithm: str = "ring",
-        chunk_tokens: int = 512,
-        max_batch: int = 32,
-        block_tokens: int = 64,
-        reserve_fraction: float = 0.1,
-        t: int = 64,
-        max_steps: int = 2_000_000,
-        engine: str = "epoch",
-        draft_model: "ModelConfig | str | None" = None,
-        draft_len: int = 4,
-        accept_rate: float = 1.0,
+        **kwargs,
     ) -> None:
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
@@ -200,22 +185,10 @@ class ControlPlaneSimulator:
                 f"shed_backlog_tokens must be >= 0, got "
                 f"{shed_backlog_tokens}"
             )
-        if engine not in ENGINE_MODES:
-            raise ServingError(
-                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
-            )
         if cold_start_s is not None:
             require_non_negative("cold_start_s", cold_start_s)
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        from repro.serving.costmodel import SUPPORTED_PLANS
-
-        self.plan = resolve_plan(
-            AttentionPlan.RECOMPOSED if plan is None else plan,
-            model=self.model, gpu=self.gpu, t=t,
-            candidates=SUPPORTED_PLANS,
-        )
-        self._stream = request_stream(requests, workload)
+        super().__init__(model, gpu, plan=plan, requests=requests,
+                         workload=workload, **kwargs)
         if requests is not None and any(
                 r.request_id != i for i, r in enumerate(self._stream)):
             raise ServingError(
@@ -232,21 +205,13 @@ class ControlPlaneSimulator:
         self.shed_backlog_tokens = shed_backlog_tokens
         self.seed = (seed if seed is not None
                      else workload.seed if workload is not None else 0)
-        self.max_steps = max_steps
-        self._replica_kwargs = dict(
-            dtype=dtype, tp=tp, pp=pp, ep=ep, interconnect=interconnect,
-            algorithm=algorithm, chunk_tokens=chunk_tokens,
-            max_batch=max_batch, block_tokens=block_tokens,
-            reserve_fraction=reserve_fraction, t=t, engine=engine,
-            draft_model=draft_model, draft_len=draft_len,
-            accept_rate=accept_rate,
-        )
         if autoscaler is not None and autoscaler.cold_start_s is not None:
             cold_start_s = autoscaler.cold_start_s
+        config = self.config
         self.cold_start_s = (
             cold_start_s if cold_start_s is not None else cold_start_time(
-                self.model, self.gpu, dtype=dtype, tp=tp, pp=pp,
-                interconnect=interconnect))
+                self.model, self.gpu, dtype=config.dtype, tp=config.tp,
+                pp=config.pp, interconnect=config.interconnect))
 
     def run(self) -> ControlPlanePlanReport:
         """Simulate the stream to completion under fleet control."""
@@ -315,12 +280,9 @@ class _FleetControl:
 
     def new_replica(self, replica_id: int,
                     created_at: float) -> ControlledReplica:
-        sim = self.sim
-        replica = ControlledReplica(
-            replica_id, sim.model, sim.gpu, plan=sim.plan,
-            tracer=self.tracer, retain_requests=False,
-            created_at=created_at, **sim._replica_kwargs,
-        )
+        replica = self.sim.new_replica(
+            replica_id, cls=ControlledReplica, tracer=self.tracer,
+            retain_requests=False, created_at=created_at)
         replica.scheduler.first_token_log = self.first_tokens
         return replica
 
@@ -649,43 +611,36 @@ def simulate_controlplane(
     """Run one workload through the control plane under several plans.
 
     Every plan replays the same request stream, tier assignment, and
-    failure schedule, so comparisons isolate the attention plan.  Pass
-    ``requests`` to replay a trace instead of the synthetic workload
-    (the report's ``arrival`` then reads ``{"kind": "trace"}``).
-    Extra keyword arguments reach :class:`ControlPlaneSimulator`
-    (``shed_backlog_tokens``, ``cold_start_s``, ``tp``, ``engine``,
-    ...).
+    failure schedule, so comparisons isolate the attention plan.  The
+    stream is built once by :func:`~repro.cluster.router
+    .simulate_plans`; pass ``requests`` to replay a trace instead of
+    the synthetic workload (the report's ``arrival`` then reads
+    ``{"kind": "trace"}``, while ``seed`` and ``duration`` still drive
+    the tiers and faults).  Extra keyword arguments reach
+    :class:`ControlPlaneSimulator` (``shed_backlog_tokens``,
+    ``cold_start_s``, ``tp``, ``engine``, ...).
     """
-    model = get_model(model) if isinstance(model, str) else model
-    gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    workload = None
-    if requests is None:
-        workload = ServingWorkload(
-            rate=rate, duration=duration, seed=seed,
-            block_tokens=kwargs.get("block_tokens", 64), arrival=arrival,
-        )
-    reports = {}
-    for plan in plans:
-        sim = ControlPlaneSimulator(
-            model, gpu, workload=workload, requests=requests, seed=seed,
-            plan=PlanSource.of(plan), tiers=tiers,
-            replicas=replicas, autoscaler=autoscaler, faults=faults,
-            policy=policy, **kwargs,
-        )
-        reports[sim.plan.value] = sim.run()
-    tracer = current_tracer()
+    if arrival is None and requests is None:
+        # The report describes every synthetic arrival process, the
+        # default Poisson stream included.
+        arrival = PoissonArrivals(rate=rate)
+    runs = simulate_plans(
+        partial(ControlPlaneSimulator, seed=seed), model, gpu,
+        plans=plans, rate=rate, duration=duration, seed=seed,
+        requests=requests, arrival=arrival, prefix_groups=0, tiers=tiers,
+        replicas=replicas, autoscaler=autoscaler, faults=faults,
+        policy=policy, **kwargs)
     return ControlPlaneReport(
-        model=model.name,
-        gpu=gpu.name,
+        model=runs["model"],
+        gpu=runs["gpu"],
         seed=seed,
         duration=duration,
-        arrival=(workload.arrival.describe() if workload is not None
-                 else {"kind": "trace"}),
+        arrival=runs["arrival"],
         replicas=replicas,
         policy=policy if isinstance(policy, str) else policy.name,
-        plans=reports,
+        plans=runs["plans"],
         faults=faults.describe() if faults is not None else None,
-        trace_summary=tracer.summary() if tracer.enabled else None,
+        trace_summary=runs["trace_summary"],
     )
 
 

@@ -351,22 +351,26 @@ class ServingReport:
 
     model: str
     gpu: str
-    rate: float
-    duration: float
-    seed: int
+    #: The synthetic stream's rate, duration and seed; ``None`` for a
+    #: trace replay, which has none.
+    rate: "float | None"
+    duration: "float | None"
+    seed: "int | None"
     num_requests: int
     plans: "dict[str, PlanReport]"
     #: Full-trace summary (all plans, metrics included); ``None`` when
     #: the run was not traced.
     trace_summary: "dict | None" = None
-    #: Arrival-process parameters (``ArrivalProcess.describe()``);
-    #: ``None`` for the default stationary Poisson stream, which keeps
-    #: historical serialized output byte-identical.
+    #: Arrival-process parameters (``ArrivalProcess.describe()``, or
+    #: ``{"kind": "trace"}`` for a replay); ``None`` for the default
+    #: stationary Poisson stream, which keeps historical serialized
+    #: output byte-identical.
     arrival: "dict | None" = None
 
     def to_json(self) -> "dict[str, object]":
-        """JSON-ready mapping; key order is fixed by ``sort_keys``."""
-        doc: "dict[str, object]" = {
+        """JSON-ready mapping; key order is fixed by ``sort_keys``.
+        Fields that are ``None`` are left out."""
+        doc = {
             "model": self.model,
             "gpu": self.gpu,
             "rate": self.rate,
@@ -375,12 +379,11 @@ class ServingReport:
             "num_requests": self.num_requests,
             "plans": {name: report.to_json()
                       for name, report in self.plans.items()},
+            "arrival": self.arrival,
+            "trace_summary": self.trace_summary,
         }
-        if self.arrival is not None:
-            doc["arrival"] = self.arrival
-        if self.trace_summary is not None:
-            doc["trace_summary"] = self.trace_summary
-        return doc
+        return {key: value for key, value in doc.items()
+                if value is not None}
 
     def to_dict(self) -> "dict[str, object]":
         """Versioned JSON-ready document (``repro.result/v1``)."""

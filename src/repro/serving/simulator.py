@@ -10,7 +10,8 @@ to the next arrival — idle time costs nothing to simulate.
 
 A single-node run is the one-replica case of the cluster: the
 simulator builds one :class:`~repro.cluster.replica.Replica` and runs
-it through the shared :func:`~repro.cluster.router.drive` loop.
+it through the shared :func:`~repro.cluster.router.drive` loop as a
+fleet of one (:func:`~repro.cluster.router.drive_one`).
 Stepping is delegated to :class:`~repro.serving.engine.EpochEngine`:
 by default pure-decode stretches advance in vectorized epochs that are
 bit-identical to the classic per-step loop, and ``engine="event"``
@@ -28,31 +29,26 @@ plan, request stream) always yields a byte-identical report.
 
 from __future__ import annotations
 
-from repro.cluster.replica import Replica
-from repro.cluster.router import drive
-from repro.common.dtypes import DType
-from repro.common.errors import ServingError
+from repro.cluster.router import SimulatorIntake, drive_one, simulate_plans
 from repro.core.plan import AttentionPlan
-from repro.core.plansource import PlanSource, resolve_plan
-from repro.gpu.specs import GPUSpec, get_gpu
-from repro.models.config import ModelConfig, get_model
+from repro.core.plansource import PlanSource
+from repro.gpu.specs import GPUSpec
+from repro.models.config import ModelConfig
 from repro.obs.instrument import emit_request_phase_spans
 from repro.obs.tracer import current_tracer
-from repro.serving.engine import DEFAULT_MAX_EPOCH, ENGINE_MODES
 from repro.serving.metrics import (
     EXACT_PERCENTILE_CUTOVER,
     PlanReport,
     ServingReport,
 )
-from repro.serving.requests import (
-    Request,
-    ServingWorkload,
-    fresh_requests,
-    request_stream,
-)
+from repro.serving.requests import Request
+
+#: Replica keywords a single-GPU simulation rejects; the cluster
+#: simulators take them.
+ONE_GPU_ONLY = frozenset({"tp", "pp", "ep", "interconnect", "algorithm"})
 
 
-class ServingSimulator:
+class ServingSimulator(SimulatorIntake):
     """Replay a request stream through a simulated serving engine.
 
     ``run`` operates on private copies of the requests, so one stream
@@ -60,7 +56,11 @@ class ServingSimulator:
     comparison.  Pass a :class:`~repro.serving.requests.ServingWorkload`
     instead of a request list and the stream stays in numpy arrays
     until each request actually arrives — at fleet scale nothing
-    allocates a million dataclasses up front.
+    allocates a million dataclasses up front.  Other keywords are
+    :class:`~repro.cluster.replica.ReplicaConfig`'s (``chunk_tokens``,
+    ``max_batch``, ``engine``, ...) or ``max_steps``, except the
+    sharding ones (:data:`ONE_GPU_ONLY`): a serving simulation is one
+    GPU, and its report has no field to say otherwise.
 
     >>> from repro.core.plansource import PlanSource
     >>> sim = ServingSimulator("bert-large", "a100",
@@ -77,52 +77,16 @@ class ServingSimulator:
         model: "ModelConfig | str",
         gpu: "GPUSpec | str",
         *,
-        plan: "PlanSource | AttentionPlan | str | None" = None,
-        requests: "list[Request] | None" = None,
-        workload: "ServingWorkload | None" = None,
-        dtype: DType = DType.FP16,
-        chunk_tokens: int = 512,
-        max_batch: int = 32,
-        block_tokens: int = 64,
-        reserve_fraction: float = 0.1,
-        t: int = 64,
-        max_steps: int = 2_000_000,
-        engine: str = "epoch",
-        max_epoch: int = DEFAULT_MAX_EPOCH,
+        plan: "PlanSource | AttentionPlan | str" = AttentionPlan.BASELINE,
         latency_cutover: int = EXACT_PERCENTILE_CUTOVER,
-        draft_model: "ModelConfig | str | None" = None,
-        draft_len: int = 4,
-        accept_rate: float = 1.0,
+        **kwargs,
     ) -> None:
-        if engine not in ENGINE_MODES:
-            raise ServingError(
-                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
-            )
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        # Resolved exactly once, here, from any plan spelling.
-        from repro.serving.costmodel import SUPPORTED_PLANS
-
-        self.plan = resolve_plan(
-            AttentionPlan.BASELINE if plan is None else plan,
-            model=self.model, gpu=self.gpu, t=t,
-            candidates=SUPPORTED_PLANS,
-        )
-        self.max_steps = max_steps
-        self.engine = engine
+        sharding = sorted(ONE_GPU_ONLY & kwargs.keys())
+        if sharding:
+            raise TypeError(f"ServingSimulator runs one GPU; unexpected "
+                            f"keyword(s) {', '.join(sharding)}")
+        super().__init__(model, gpu, plan=plan, **kwargs)
         self.latency_cutover = latency_cutover
-        self._stream = request_stream(requests, workload)
-        self._replica_kwargs = dict(
-            dtype=dtype, chunk_tokens=chunk_tokens, max_batch=max_batch,
-            block_tokens=block_tokens, reserve_fraction=reserve_fraction,
-            t=t, max_epoch=max_epoch, draft_model=draft_model,
-            draft_len=draft_len, accept_rate=accept_rate,
-        )
-
-    @property
-    def num_requests(self) -> int:
-        """Size of the stream ``run`` will replay."""
-        return len(self._stream)
 
     def run(self) -> PlanReport:
         """Simulate the stream to completion and aggregate metrics."""
@@ -133,11 +97,8 @@ class ServingSimulator:
         # it, finished requests are dropped and the engine's streaming
         # accumulators carry the metrics in O(1) memory.
         retain = tracer.enabled or self.num_requests <= self.latency_cutover
-        replica = Replica(0, self.model, self.gpu, plan=self.plan,
-                          tracer=tracer, engine=self.engine,
-                          retain_requests=retain, **self._replica_kwargs)
-        drive([replica], fresh_requests(self._stream),
-              lambda request: replica, max_steps=self.max_steps)
+        replica = self.new_replica(0, tracer=tracer, retain_requests=retain)
+        drive_one(replica, self._stream, max_steps=self.max_steps)
 
         trace_summary = None
         if tracer.enabled:
@@ -171,43 +132,15 @@ def simulate_serving(
     ...).  ``plans`` entries may be plan names, enums, ``"auto"``, a
     tuned-plan artifact path, or :class:`PlanSource` objects — this is
     the scenario-level API, so every spelling is accepted without
-    ceremony.  Pass ``requests`` to replay a trace instead of the
-    synthetic workload; otherwise the synthetic stream is sampled once
-    into shared arrays and every plan replays the same values.  An
-    ``arrival`` process (:mod:`repro.serving.arrivals`) replaces the
-    stationary Poisson stream and is echoed into the report.
+    ceremony.  The stream is built once by
+    :func:`~repro.cluster.router.simulate_plans`: ``requests`` replays
+    a trace (reported as ``arrival: {"kind": "trace"}``, without rate,
+    duration or seed); otherwise the synthetic stream is sampled once
+    and every plan replays the same values, and an ``arrival`` process
+    (:mod:`repro.serving.arrivals`) replaces the stationary Poisson
+    stream and is echoed into the report.
     """
-    model = get_model(model) if isinstance(model, str) else model
-    gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    workload = None
-    if requests is None:
-        block_tokens = kwargs.get("block_tokens", 64)
-        workload = ServingWorkload(
-            rate=rate, duration=duration, seed=seed,
-            block_tokens=block_tokens, arrival=arrival,
-        )
-    reports = {}
-    # Counted up front from the stream itself, not inside the plan
-    # loop: a trace-driven run (or an empty ``plans`` tuple) must still
-    # report how many requests were actually loaded.
-    if requests is not None:
-        num_requests = len(requests)
-    else:
-        num_requests = len(workload.request_arrays())
-    for plan in plans:
-        sim = ServingSimulator(model, gpu, plan=PlanSource.of(plan),
-                               requests=requests, workload=workload,
-                               **kwargs)
-        reports[sim.plan.value] = sim.run()
-    tracer = current_tracer()
-    return ServingReport(
-        model=model.name,
-        gpu=gpu.name,
-        rate=rate,
-        duration=duration,
-        seed=seed,
-        num_requests=num_requests,
-        plans=reports,
-        trace_summary=tracer.summary() if tracer.enabled else None,
-        arrival=arrival.describe() if arrival is not None else None,
-    )
+    return ServingReport(**simulate_plans(
+        ServingSimulator, model, gpu, plans=plans, rate=rate,
+        duration=duration, seed=seed, requests=requests, arrival=arrival,
+        prefix_groups=0, **kwargs))

@@ -116,9 +116,9 @@ def verification_oracles():
             ModelConfig,
         )
         from repro.cluster.replica import Replica
-        from repro.cluster.router import drive
+        from repro.cluster.router import drive_one
         from repro.gpu.specs import get_gpu
-        from repro.serving.requests import Request, fresh_requests
+        from repro.serving.requests import Request
 
         seed = int(case.params.get("case_seed", 0))
         rng = np.random.default_rng((seed, 0x5DEC))
@@ -151,8 +151,7 @@ def verification_oracles():
             replica = Replica(0, tiny, get_gpu("A100"), plan="baseline",
                               chunk_tokens=256, max_batch=4,
                               engine="event", **spec_kwargs)
-            drive([replica], fresh_requests(requests),
-                  lambda request: replica, max_steps=100_000)
+            drive_one(replica, requests, max_steps=100_000)
             finished = {r.request_id for r in replica.requests
                         if r.finish_time is not None}
             generated = {r.request_id: r.generated

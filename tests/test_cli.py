@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -178,16 +182,34 @@ class TestCLI:
         assert "plans" in json.loads(path.read_text())
 
     def test_serve_sim_trace_file(self, capsys, tmp_path):
+        report = self.replay(capsys, tmp_path, "serve-sim")
+        assert list(report["plans"]) == ["sdf"]
+
+    def test_cluster_sim_trace_file(self, capsys, tmp_path):
+        report = self.replay(capsys, tmp_path, "cluster-sim")
+        assert report["plans"]["sdf"]["per_replica"][0]["finished"] == 1
+
+    @staticmethod
+    def replay(capsys, tmp_path, command):
+        """A two-request replay reports the trace as its arrival
+        process, carries no rate, duration or seed of a synthetic
+        stream that never ran, and says so in its table header."""
         path = tmp_path / "trace.jsonl"
         path.write_text(
             '{"arrival_time": 0.0, "prompt_len": 256, "output_len": 8}\n'
             '{"arrival_time": 0.2, "prompt_len": 512, "output_len": 4}\n'
         )
-        out = run_cli(capsys, "serve-sim", "--trace-file", str(path),
-                      "--plans", "sdf", "--json")
-        report = json.loads(out)
+        report = json.loads(run_cli(capsys, command, "--trace-file",
+                                    str(path), "--plans", "sdf", "--json"))
         assert report["num_requests"] == 2
-        assert list(report["plans"]) == ["sdf"]
+        assert report["plans"]["sdf"]["finished"] == 2
+        assert report["arrival"] == {"kind": "trace"}
+        assert not {"rate", "duration_s", "seed"} & set(report)
+        header = run_cli(capsys, command, "--trace-file",
+                         str(path)).splitlines()[0]
+        assert header.endswith("— trace replay of 2 requests")
+        assert "req/s" not in header and "seed" not in header
+        return report
 
     def test_cluster_sim_json(self, capsys):
         out = run_cli(capsys, "cluster-sim", "--model", "bert-large",
@@ -266,6 +288,22 @@ class TestCLI:
                 "--seed", "7", "--replicas", "2", "--policy",
                 "prefix-affinity", "--prefix-groups", "4", "--json")
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
+def test_closed_pipe_exits_without_traceback():
+    """``repro ... | head -1``: a reader that goes away ends the run
+    with exit code 1 and nothing on stderr."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve-sim", "--rate", "2",
+         "--duration", "2", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # Closed before the command prints, so its write always hits EPIPE.
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""
 
 
 class TestCLIHelp:

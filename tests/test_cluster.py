@@ -332,6 +332,67 @@ class TestClusterSimulator:
             assert replica["kind"] == "cluster-replica"
 
 
+def _simulator(name):
+    from repro.controlplane import ControlPlaneSimulator
+    from repro.serving.simulator import ServingSimulator
+
+    return {"serving": ServingSimulator, "cluster": ClusterSimulator,
+            "controlplane": ControlPlaneSimulator}[name]
+
+
+class TestReplicaKeywords:
+    """Replica keywords are declared and checked once, by
+    ``ReplicaConfig``; every simulator forwards its own to it."""
+
+    def test_replica_rejects_unknown_engine(self):
+        with pytest.raises(ServingError, match="engine must be one of"):
+            Replica(0, TINY, get_gpu("t4"), engine="epoc")
+
+    @pytest.mark.parametrize("simulator", ["serving", "cluster",
+                                           "controlplane"])
+    @pytest.mark.parametrize("keywords,error", [
+        ({"chunk_tokns": 128}, TypeError),
+        ({"engine": "epoc"}, ServingError),
+    ])
+    def test_bad_replica_keyword_fails_in_constructor(self, simulator,
+                                                      keywords, error):
+        """Never later, in ``run()``."""
+        with pytest.raises(error):
+            _simulator(simulator)(TINY, "t4", plan="sdf",
+                                  requests=tiny_requests(), **keywords)
+
+    @pytest.mark.parametrize("keywords", [
+        {"tp": 2}, {"pp": 2}, {"ep": 2}, {"tp": 1},
+        {"interconnect": NVLINK3}, {"algorithm": "tree"},
+    ])
+    def test_serving_simulator_is_one_gpu(self, keywords):
+        """The sharding keywords are the cluster's; serve-sim's report
+        has no field to echo them."""
+        from repro.serving.simulator import (
+            ServingSimulator,
+            simulate_serving,
+        )
+
+        with pytest.raises(TypeError, match="one GPU"):
+            ServingSimulator(TINY, "t4", plan="sdf",
+                             requests=tiny_requests(), **keywords)
+        with pytest.raises(TypeError, match="one GPU"):
+            simulate_serving(TINY, "t4", rate=1.0, duration=1.0,
+                             plans=("sdf",), **keywords)
+
+    @pytest.mark.parametrize("simulator", ["serving", "cluster",
+                                           "controlplane"])
+    def test_every_simulator_forwards_max_epoch(self, simulator):
+        """Epochs of any length are bit-identical to the default's."""
+        def doc(**keywords):
+            report = _simulator(simulator)(
+                TINY, "t4", plan="sdf", requests=tiny_requests(),
+                **keywords).run()
+            return json.dumps(report.to_dict(), sort_keys=True)
+
+        assert doc(max_epoch=1) == doc()
+
+
 class TestRequestBlock:
     """The one aggregator every report's request block comes from."""
 
